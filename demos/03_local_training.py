@@ -3,7 +3,8 @@
 The fedprox objective adds (mu/2) * ||w - w_global||^2 to the plain
 cross-entropy, which penalizes drifting away from the broadcast parameters
 during local epochs.  This is what keeps single-label clients from running
-off toward their own class.  Run:
+off toward their own class.  Local training runs a round's clients as one
+lockstep cohort; a cohort of one is a single client.  Run:
 
     python3 demos/03_local_training.py
 """
@@ -14,11 +15,16 @@ from fedsim import (
     HyperParams,
     ParamVector,
     generate_synthetic,
-    local_train,
     params_equal,
     partition_shards,
     proximal_penalty,
+    train_cohort,
 )
+
+
+def train_alone(anchor, data, split, h, seed):
+    (update,) = train_cohort(anchor, data, [split], h, [seed])
+    return update
 
 
 def drift(update, anchor: ParamVector) -> float:
@@ -32,7 +38,8 @@ def main() -> None:
         n_samples=800, n_classes=4, feature_dim=16, separation=6.0, seed=0
     )
     # A single-label client: the worst case for local drift.
-    split = partition_shards(data, n_clients=4, shards_per_client=1, seed=0)[0]
+    splits = partition_shards(data, n_clients=4, shards_per_client=1, seed=0)
+    split = splits[0]
     labels = np.unique(data.labels[split.indices])
     print(f"client 0 holds {split.n_samples} samples, labels {labels.tolist()}")
 
@@ -51,14 +58,14 @@ def main() -> None:
             mu=mu,
             objective="fedprox",
         )
-        update = local_train(anchor, data, split, h, seed=0)
+        update = train_alone(anchor, data, split, h, seed=0)
         print(f"  fedprox    {mu:>8.1f}  {drift(update, anchor):>8.4f}"
               f"  {update.mean_final_epoch_loss:>10.4f}")
 
     plain = HyperParams(
         learning_rate=0.05, batch_size=32, local_epochs=10, objective="fedavg"
     )
-    update = local_train(anchor, data, split, plain, seed=0)
+    update = train_alone(anchor, data, split, plain, seed=0)
     print(f"  fedavg            -  {drift(update, anchor):>8.4f}"
           f"  {update.mean_final_epoch_loss:>10.4f}")
 
@@ -68,13 +75,22 @@ def main() -> None:
         learning_rate=0.05, batch_size=32, local_epochs=10,
         mu=0.0, objective="fedprox",
     )
-    update_zero = local_train(anchor, data, split, zero, seed=0)
+    update_zero = train_alone(anchor, data, split, zero, seed=0)
     print("\nfedprox(mu=0) bit-identical to fedavg:",
           params_equal(update_zero.params, update.params))
 
     # The penalty itself, measured at the fedavg endpoint.
     print("penalty (mu/2)*||w - w_g||^2 at the fedavg endpoint, mu = 1:",
           f"{proximal_penalty(update.params, anchor, 1.0):.4f}")
+
+    # All four clients as one cohort, stepped in lockstep: each update is
+    # bit-identical to that client's solo run, whatever its cohort.
+    cohort = train_cohort(anchor, data, splits, plain, seeds=[0, 1, 2, 3])
+    same = all(
+        params_equal(u.params, train_alone(anchor, data, s, plain, seed=i).params)
+        for i, (s, u) in enumerate(zip(splits, cohort))
+    )
+    print("4-client cohort bit-identical to 4 solo runs:", same)
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ from .model import (
     params_equal,
     softmax,
 )
-from .training import HyperParams, LocalUpdate, local_objective, local_train, proximal_penalty
+from .training import HyperParams, LocalUpdate, local_objective, proximal_penalty, train_cohort
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "load_dataset",
     "load_partition",
     "local_objective",
-    "local_train",
     "loss_and_grad",
     "params_equal",
     "parse_config",
@@ -115,5 +114,6 @@ __all__ = [
     "serialize_config",
     "softmax",
     "synthetic_train_test",
+    "train_cohort",
     "validate_config",
 ]

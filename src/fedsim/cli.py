@@ -3,7 +3,7 @@
 Data goes to files under --out (and result lines to stdout); progress and
 errors go to stderr, so output files and logs never interleave.  All outputs
 are pure functions of the config file: rerunning a command with the same
-config reproduces every output byte for byte, regardless of --workers.
+config reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from typing import Callable, Sequence
 from .config import (
     ConfigError,
     ExperimentConfig,
+    canonical_method,
+    canonical_partition,
+    check_sweep_cells,
     config_fingerprint,
     config_to_dict,
     load_config,
-    parse_method_token,
-    parse_partition_token,
     parse_seed_list,
     validate_config,
 )
@@ -101,13 +102,11 @@ def _write_run_outputs(
     )
 
 
-def cmd_run(
-    cfg: ExperimentConfig, out: Path, quiet: bool = False, workers: int = 1
-) -> int:
+def cmd_run(cfg: ExperimentConfig, out: Path, quiet: bool = False) -> int:
     """Train one configuration; write rounds.csv, labels.csv, summary.json."""
     data = prepare_experiment(cfg)
     _log(quiet, f"run: {cfg.method_token()} {cfg.partition_token()} seed={cfg.seed}")
-    result = run_federation(cfg, data, workers, _progress(quiet, cfg.rounds))
+    result = run_federation(cfg, data, _progress(quiet, cfg.rounds))
     _write_run_outputs(cfg, data, result, out)
     print(f"final_accuracy={format_float(result.final_accuracy)}")
     return 0
@@ -122,7 +121,6 @@ def cmd_suite(
     out: Path,
     seeds: Sequence[int] | None = None,
     quiet: bool = False,
-    workers: int = 1,
 ) -> int:
     """Sweep methods x partitions across seeds; write per-run dirs + table.csv.
 
@@ -135,27 +133,24 @@ def cmd_suite(
         raise ConfigError("seeds: must list at least one seed")
     if len(set(seed_list)) != len(seed_list):
         raise ConfigError(f"seeds: seeds must be distinct, got {seed_list}")
+    check_sweep_cells(cfg)
     method_tokens = cfg.suite_methods or (cfg.method_token(),)
     partition_tokens = cfg.suite_partitions or (cfg.partition_token(),)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, str, float, float]] = []
     for mt in method_tokens:
-        name, mu = parse_method_token(mt)
+        name, mu = canonical_method(cfg, mt)
         for pt in partition_tokens:
-            mode, k = parse_partition_token(pt)
+            mode, k = canonical_partition(cfg, pt)
             sub = replace(
-                cfg,
-                method=name,
-                mu=cfg.mu if mu is None else mu,
-                partition_mode=mode,
-                shards_per_client=cfg.shards_per_client if k is None else k,
+                cfg, method=name, mu=mu, partition_mode=mode, shards_per_client=k
             )
             accs: list[float] = []
             for s in seed_list:
                 rcfg = replace(sub, seed=int(s))
                 data = prepare_experiment(rcfg)
                 _log(quiet, f"suite: {mt} {pt} seed={s}")
-                result = run_federation(rcfg, data, workers, None)
+                result = run_federation(rcfg, data)
                 _write_run_outputs(
                     rcfg, data, result, out / f"{_slug(mt)}_{_slug(pt)}" / f"seed_{s}"
                 )
@@ -229,32 +224,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, workers: bool) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a key = value config")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
         p.add_argument("--quiet", action="store_true", help="suppress progress logs")
-        if workers:
-            p.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="threads for client training within a round (default 1)",
-            )
 
-    common(sub.add_parser("run", help="train one federated configuration"), True)
+    common(sub.add_parser("run", help="train one federated configuration"))
     suite = sub.add_parser("suite", help="sweep methods x partitions over seeds")
-    common(suite, True)
+    common(suite)
     suite.add_argument("--seeds", help="comma list overriding the config's seeds")
     common(
         sub.add_parser(
             "inspect-partition", help="show per-client label histograms, no training"
-        ),
-        False,
+        )
     )
-    common(
-        sub.add_parser("baseline", help="train the centralized pooled baseline"),
-        False,
-    )
+    common(sub.add_parser("baseline", help="train the centralized pooled baseline"))
     return parser
 
 
@@ -265,12 +249,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "run":
-            return cmd_run(cfg, out, args.quiet, args.workers)
+            return cmd_run(cfg, out, args.quiet)
         if args.command == "suite":
             seeds = (
                 parse_seed_list("seeds", args.seeds) if args.seeds is not None else None
             )
-            return cmd_suite(cfg, out, seeds, args.quiet, args.workers)
+            return cmd_suite(cfg, out, seeds, args.quiet)
         if args.command == "inspect-partition":
             return cmd_inspect_partition(cfg, out, args.quiet)
         return cmd_baseline(cfg, out, args.quiet)

@@ -24,6 +24,10 @@ starts a comment and blank lines are ignored.  Keys:
     partitions     comma list of partition tokens, suite sweep
                                                          (default: partition)
 
+Two sweep tokens that name the same cell, such as fedprox(0.3) and
+fedprox(.3), or a bare fedprox and fedprox(MU) at the config's mu, are
+rejected.
+
 Unknown or duplicate keys are rejected; every constraint violation is
 reported with the offending key.  Values in file() paths cannot contain
 commas or '#'.
@@ -45,6 +49,9 @@ __all__ = [
     "ExperimentConfig",
     "FileData",
     "SyntheticData",
+    "canonical_method",
+    "canonical_partition",
+    "check_sweep_cells",
     "config_fingerprint",
     "config_to_dict",
     "load_config",
@@ -201,6 +208,36 @@ def parse_partition_token(token: str) -> tuple[str, int | None]:
     raise ConfigError(f"partition: must be iid or shards(K), got {token!r}")
 
 
+def canonical_method(cfg: ExperimentConfig, token: str) -> tuple[str, float]:
+    """The (method, mu) a sweep token runs; a bare token takes ``cfg.mu``."""
+    name, mu = parse_method_token(token)
+    return name, cfg.mu if mu is None else mu
+
+
+def canonical_partition(cfg: ExperimentConfig, token: str) -> tuple[str, int]:
+    """The (mode, shards_per_client) a sweep token runs; iid keeps ``cfg``'s count."""
+    mode, k = parse_partition_token(token)
+    return mode, cfg.shards_per_client if k is None else k
+
+
+def check_sweep_cells(cfg: ExperimentConfig) -> None:
+    """Reject sweep tokens that name the same cell as an earlier token.
+
+    Bare tokens resolve against this config, so run it on the suite's base
+    config, not on a per-cell copy whose mu or shard count was replaced.
+    """
+    for key, tokens, canonical in (
+        ("methods", cfg.suite_methods, canonical_method),
+        ("partitions", cfg.suite_partitions, canonical_partition),
+    ):
+        seen: dict[tuple, str] = {}
+        for t in tokens:
+            cell = canonical(cfg, t)
+            if cell in seen:
+                raise ConfigError(f"{key}: {t!r} duplicates {seen[cell]!r}")
+            seen[cell] = t
+
+
 def parse_seed_list(key: str, text: str) -> tuple[int, ...]:
     """Comma list of distinct non-negative ints."""
     items = [s.strip() for s in text.split(",") if s.strip()]
@@ -328,8 +365,6 @@ def parse_config(text: str) -> ExperimentConfig:
         )
         if not tokens:
             raise ConfigError("methods: must list at least one method")
-        for t in tokens:
-            parse_method_token(t)
         fields["suite_methods"] = tokens
     if "partitions" in entries:
         tokens = tuple(
@@ -337,12 +372,11 @@ def parse_config(text: str) -> ExperimentConfig:
         )
         if not tokens:
             raise ConfigError("partitions: must list at least one partition")
-        for t in tokens:
-            parse_partition_token(t)
         fields["suite_partitions"] = tokens
 
     cfg = ExperimentConfig(**fields)
     validate_config(cfg)
+    check_sweep_cells(cfg)
     if "mu" in entries and cfg.method == "fedavg":
         warnings.warn("mu is ignored when method = fedavg", stacklevel=2)
     return cfg

@@ -11,7 +11,7 @@ import numpy as np
 from .data import ClientSplit, Dataset
 from .model import ParamVector
 from .seeds import LOCAL_STREAM, SeedKey, derive
-from .training import HyperParams, local_train
+from .training import HyperParams, train_cohort
 
 __all__ = [
     "ExperimentSummary",
@@ -57,13 +57,12 @@ def centralized_train(
     params = ParamVector.zeros(train.n_classes, train.feature_dim)
     if epochs == 0:
         return params
-    full = ClientSplit(0, np.arange(train.n_samples))
-    update = local_train(
+    (update,) = train_cohort(
         params,
         train,
-        full,
+        [ClientSplit(0, np.arange(train.n_samples))],
         replace(h, local_epochs=epochs, objective="fedavg"),
-        derive(seed, LOCAL_STREAM, 0, 0),
+        [derive(seed, LOCAL_STREAM, 0, 0)],
     )
     return update.params
 

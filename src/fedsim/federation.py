@@ -1,16 +1,15 @@
 """Server-side orchestration: selection, dispatch, averaging, round loop.
 
-Every round broadcasts the global parameters, trains each selected client
-locally from that same snapshot, and replaces the global parameters with the
-weighted average of the returned ones.  Client training is free of shared
-state, so a round may fan out across threads; updates are always averaged in
-ascending client-id order, making results independent of completion order.
+Every round broadcasts the global parameters, trains the selected clients
+locally from that same snapshot in one lockstep cohort, and replaces the
+global parameters with the weighted average of the returned ones.  A client's
+update does not depend on which other clients share its round, and updates
+are averaged in ascending client-id order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +33,7 @@ from .seeds import (
     derive,
     key_rng,
 )
-from .training import HyperParams, LocalUpdate, local_train
+from .training import DivergenceError, HyperParams, LocalUpdate, train_cohort
 
 __all__ = [
     "ExperimentData",
@@ -120,38 +119,33 @@ def run_round(
     fraction: float = 0.5,
     weighting: str = "datasize",
     seed: SeedKey = 0,
-    max_workers: int = 1,
 ) -> tuple[ServerState, RoundReport]:
     """One communication round: select, train locally, average.
 
-    Every selected client trains from the same snapshot of the global
-    parameters under its own derived seed; with ``max_workers > 1`` the
-    clients run on a thread pool.  Results are identical either way.
+    The selected clients train as one cohort from the same snapshot of the
+    global parameters, each under its own derived seed.  A diverging client
+    raises a ValueError that names the round, the client and the epoch.
     """
-    selected = select_clients(len(splits), fraction, seed, state.round_index)
-
-    def train_one(cid: int) -> LocalUpdate:
-        return local_train(
+    r = state.round_index
+    selected = select_clients(len(splits), fraction, seed, r)
+    try:
+        updates = train_cohort(
             state.global_params,
             data,
-            splits[cid],
+            [splits[c] for c in selected],
             h,
-            derive(seed, LOCAL_STREAM, state.round_index, cid),
+            [derive(seed, LOCAL_STREAM, r, c) for c in selected],
         )
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            updates = list(pool.map(train_one, selected))
-    else:
-        updates = [train_one(c) for c in selected]
+    except DivergenceError as exc:
+        raise ValueError(f"round {r}, {exc}") from None
     new_params = aggregate(updates, weighting)
     report = RoundReport(
-        round_index=state.round_index,
+        round_index=r,
         selected_clients=tuple(selected),
         client_losses=tuple(u.mean_final_epoch_loss for u in updates),
         test_accuracy=accuracy(new_params, test),
     )
-    return ServerState(new_params, state.round_index + 1), report
+    return ServerState(new_params, r + 1), report
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,6 @@ def prepare_experiment(cfg: ExperimentConfig) -> ExperimentData:
 def run_federation(
     cfg: ExperimentConfig,
     data: ExperimentData | None = None,
-    max_workers: int = 1,
     progress: Callable[[RoundReport], None] | None = None,
 ) -> FederationResult:
     """Run ``cfg.rounds`` rounds from zero-initialized global parameters.
@@ -237,7 +230,6 @@ def run_federation(
             fraction=cfg.fraction,
             weighting=cfg.weighting,
             seed=cfg.seed,
-            max_workers=max_workers,
         )
         history.append(report)
         if progress is not None:

@@ -148,21 +148,31 @@ def _check_compat(params: ParamVector, batch: Batch) -> None:
 
 
 def _loss_grad_arrays(
-    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    # Shared numeric path for the public loss/gradient functions and the SGD
-    # loop: one max-subtracted softmax pass, loss taken in log space.
-    z = x @ weights.T + bias
-    z -= z.max(axis=1, keepdims=True)
+    weights: np.ndarray,
+    bias: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    with_loss: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    # The one loss/gradient kernel: one max-subtracted softmax pass, loss taken
+    # in log space.  Leading axes stack independent problems; each slice goes
+    # through matmuls and reductions of the same shape as it would alone, so
+    # its results are bit-identical to an unstacked call.
+    z = x @ weights.swapaxes(-1, -2) + bias[..., None, :]
+    z -= z.max(axis=-1, keepdims=True)
     ez = np.exp(z)
-    denom = ez.sum(axis=1, keepdims=True)
-    n = x.shape[0]
-    rows = np.arange(n)
-    loss = float(-(z[rows, y] - np.log(denom[:, 0])).mean())
+    denom = ez.sum(axis=-1, keepdims=True)
+    n = x.shape[-2]
+    rows = np.arange(y.size)
+    labels = y.reshape(-1)
+    loss = None
+    if with_loss:
+        picked = z.reshape(-1, z.shape[-1])[rows, labels].reshape(y.shape)
+        loss = -(picked - np.log(denom[..., 0])).sum(axis=-1) / n
     probs = ez / denom
-    probs[rows, y] -= 1.0
-    gw = probs.T @ x / n
-    gb = probs.mean(axis=0)
+    probs.reshape(-1, probs.shape[-1])[rows, labels] -= 1.0
+    gw = probs.swapaxes(-1, -2) @ x / n
+    gb = probs.sum(axis=-2) / n
     return loss, gw, gb
 
 
@@ -172,7 +182,7 @@ def cross_entropy_loss(params: ParamVector, batch: Batch) -> float:
     loss, _, _ = _loss_grad_arrays(
         params.weights, params.bias, batch.features, batch.labels
     )
-    return loss
+    return float(loss)
 
 
 def grad_cross_entropy(params: ParamVector, batch: Batch) -> ParamVector:
@@ -190,7 +200,7 @@ def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, ParamVector
     loss, gw, gb = _loss_grad_arrays(
         params.weights, params.bias, batch.features, batch.labels
     )
-    return loss, ParamVector(gw, gb)
+    return float(loss), ParamVector(gw, gb)
 
 
 def axpy_combine(

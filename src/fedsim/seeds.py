@@ -4,8 +4,8 @@ Every random decision in an experiment (data synthesis, partitioning, client
 selection, per-epoch shuffles) draws from its own stream, keyed by
 ``(root_seed, stream_tag, *counters)``.  Streams with distinct keys are
 statistically independent, and a stream's output never depends on which other
-streams were consumed before it, so results are identical whether clients run
-sequentially or in parallel.
+streams were consumed before it, so a client's shuffles are the same whether
+it trains alone or in a cohort.
 """
 
 from __future__ import annotations

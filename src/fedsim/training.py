@@ -9,6 +9,8 @@ parameter vector, held fixed across the client's local steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
@@ -18,11 +20,12 @@ from .seeds import SeedKey, derive, key_rng
 
 __all__ = [
     "OBJECTIVES",
+    "DivergenceError",
     "HyperParams",
     "LocalUpdate",
     "local_objective",
-    "local_train",
     "proximal_penalty",
+    "train_cohort",
 ]
 
 OBJECTIVES = ("fedavg", "fedprox")
@@ -96,28 +99,26 @@ def local_objective(
     return loss
 
 
-def local_train(
+class DivergenceError(ValueError):
+    """Local SGD hit an overflow or an invalid value (inf or nan)."""
+
+
+def _check_cohort(
     w_g: ParamVector,
     data: Dataset,
-    split: ClientSplit,
-    h: HyperParams,
-    seed: SeedKey,
-) -> LocalUpdate:
-    """Run ``h.local_epochs`` epochs of mini-batch SGD from a copy of ``w_g``.
-
-    Each epoch reshuffles the split's indices with its own stream,
-    ``derive(seed, epoch)``, then walks batches of ``h.batch_size`` in order,
-    keeping the final partial batch.  Gradients are means over the batch; the
-    fedprox gradient adds ``mu * (w - w_g)``.  The reported loss is the mean
-    per-batch objective of the final epoch, measured before each step.  Pure
-    function of its arguments: identical inputs give bit-identical updates.
-    """
-    idx = split.indices
-    if int(idx[-1]) >= data.n_samples:
-        raise ValueError(
-            f"client {split.client_id}: index {int(idx[-1])} out of range "
-            f"for {data.n_samples} samples"
-        )
+    splits: Sequence[ClientSplit],
+    seeds: Sequence[SeedKey],
+) -> None:
+    if not splits:
+        raise ValueError("splits must be non-empty")
+    if len(seeds) != len(splits):
+        raise ValueError(f"got {len(seeds)} seeds for {len(splits)} clients")
+    for split in splits:
+        if int(split.indices[-1]) >= data.n_samples:
+            raise ValueError(
+                f"client {split.client_id}: index {int(split.indices[-1])} out of "
+                f"range for {data.n_samples} samples"
+            )
     if data.feature_dim != w_g.feature_dim:
         raise ValueError(
             f"dataset feature_dim {data.feature_dim} does not match "
@@ -128,30 +129,105 @@ def local_train(
             f"dataset has {data.n_classes} classes but parameters cover "
             f"{w_g.n_classes}"
         )
+
+
+def _step_groups(
+    sizes: Sequence[int], batch_size: int
+) -> list[list[tuple[int, int, int]]]:
+    # sizes descend, so at each step the clients with a batch left form a
+    # prefix, and those whose batches have equal length a contiguous run in it.
+    plan = []
+    for start in range(0, sizes[0], batch_size):
+        lengths = [min(n - start, batch_size) for n in sizes if n > start]
+        groups, lo = [], 0
+        for length, run in groupby(lengths):
+            hi = lo + len(list(run))
+            groups.append((lo, hi, length))
+            lo = hi
+        plan.append(groups)
+    return plan
+
+
+def train_cohort(
+    w_g: ParamVector,
+    data: Dataset,
+    splits: Sequence[ClientSplit],
+    h: HyperParams,
+    seeds: Sequence[SeedKey],
+) -> list[LocalUpdate]:
+    """Run ``h.local_epochs`` epochs of mini-batch SGD for each client, in lockstep.
+
+    Client i starts from a copy of ``w_g``.  Each epoch reshuffles its split's
+    indices with its own stream, ``derive(seeds[i], epoch)``, then walks
+    batches of ``h.batch_size`` in order, keeping the final partial batch.
+    Gradients are means over the batch; the fedprox gradient adds
+    ``mu * (w - w_g)``.  The reported loss is the mean per-batch objective of
+    the final epoch, measured before each step.  Returns one update per split,
+    in the given order.  Pure function of its arguments: identical inputs give
+    bit-identical updates.
+
+    At each step, the clients whose batches have the same length go through
+    the kernel as one stack, so each client's matmuls and reductions keep the
+    shapes they have when it trains alone: a client's update is bit-identical
+    whichever clients share its cohort.  An overflow or invalid value raises
+    DivergenceError naming the first client, in the given order, whose
+    training diverges on its own.
+    """
+    _check_cohort(w_g, data, splits, seeds)
+    # Largest clients first, so that each step's groups are slices.
+    rank = sorted(range(len(splits)), key=lambda i: -splits[i].n_samples)
+    sizes = [splits[i].n_samples for i in rank]
+    plan = _step_groups(sizes, h.batch_size)
     use_prox = h.objective == "fedprox" and h.mu != 0.0
-    lr = h.learning_rate
-    w = w_g.weights.copy()
-    b = w_g.bias.copy()
-    last_losses: list[float] = []
-    for epoch in range(h.local_epochs):
-        order = key_rng(derive(seed, epoch)).permutation(idx)
-        record = epoch == h.local_epochs - 1
-        for start in range(0, order.size, h.batch_size):
-            sel = order[start : start + h.batch_size]
-            loss, gw, gb = _loss_grad_arrays(w, b, data.features[sel], data.labels[sel])
-            if use_prox:
-                gw += h.mu * (w - w_g.weights)
-                gb += h.mu * (b - w_g.bias)
-                if record:
-                    dw = w - w_g.weights
-                    db = b - w_g.bias
-                    loss += 0.5 * h.mu * float((dw * dw).sum() + (db * db).sum())
-            if record:
-                last_losses.append(loss)
-            w -= lr * gw
-            b -= lr * gb
-    return LocalUpdate(
-        params=ParamVector(w, b),
-        n_samples=int(idx.size),
-        mean_final_epoch_loss=float(np.mean(last_losses)),
-    )
+    lr, bs = h.learning_rate, h.batch_size
+    w = np.repeat(w_g.weights[None], len(rank), axis=0)
+    b = np.repeat(w_g.bias[None], len(rank), axis=0)
+    orders = np.zeros((len(rank), sizes[0]), dtype=np.int64)
+    losses = np.empty((len(rank), len(plan)))
+    epoch = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(h.local_epochs):
+                for j, i in enumerate(rank):
+                    orders[j, : sizes[j]] = key_rng(derive(seeds[i], epoch)).permutation(
+                        splits[i].indices
+                    )
+                record = epoch == h.local_epochs - 1
+                for step, groups in enumerate(plan):
+                    start = step * bs
+                    for lo, hi, length in groups:
+                        idx = orders[lo:hi, start : start + length]
+                        wg, bg = w[lo:hi], b[lo:hi]
+                        loss, gw, gb = _loss_grad_arrays(
+                            wg, bg, data.features[idx], data.labels[idx], record
+                        )
+                        if use_prox:
+                            dw = wg - w_g.weights
+                            db = bg - w_g.bias
+                            gw += h.mu * dw
+                            gb += h.mu * db
+                            if record:
+                                loss += 0.5 * h.mu * (
+                                    (dw * dw).reshape(hi - lo, -1).sum(axis=1)
+                                    + (db * db).sum(axis=1)
+                                )
+                        if record:
+                            losses[lo:hi, step] = loss
+                        wg -= lr * gw
+                        bg -= lr * gb
+    except FloatingPointError:
+        if len(splits) > 1:  # name the first client that diverges alone
+            for split, seed in zip(splits, seeds):
+                train_cohort(w_g, data, [split], h, [seed])
+        raise DivergenceError(
+            f"client {splits[0].client_id}, epoch {epoch}: local training diverged"
+        ) from None
+    updates = {}
+    for j, i in enumerate(rank):
+        steps = -(-sizes[j] // bs)
+        updates[i] = LocalUpdate(
+            params=ParamVector(w[j], b[j]),
+            n_samples=sizes[j],
+            mean_final_epoch_loss=float(losses[j, :steps].sum() / steps),
+        )
+    return [updates[i] for i in range(len(splits))]

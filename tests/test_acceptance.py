@@ -279,17 +279,16 @@ def test_cmd_run_outputs_are_byte_reproducible(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("rounds = 10\n", encoding="utf-8")
     blobs = []
-    for i, workers in enumerate((1, 1, 4)):
+    for i in range(2):
         out = tmp_path / f"out{i}"
-        assert cmd_run(load_config(str(cfg_path)), out, quiet=True, workers=workers) == 0
+        assert cmd_run(load_config(str(cfg_path)), out, quiet=True) == 0
         blobs.append((out / "rounds.csv").read_bytes())
     capsys.readouterr()
-    ok = blobs[0] == blobs[1] == blobs[2]
+    ok = blobs[0] == blobs[1]
     verdict(
         "byte-determinism",
         ok,
-        f"rounds.csv identical across two reruns and workers 1 vs 4 "
-        f"({len(blobs[0])} bytes)",
+        f"rounds.csv identical across two reruns ({len(blobs[0])} bytes)",
     )
 
 

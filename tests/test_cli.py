@@ -1,16 +1,21 @@
 """Command-line behavior: outputs, reproducibility, and error handling."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import fedsim
 from fedsim.cli import cmd_inspect_partition, cmd_run, cmd_suite, main
 from fedsim.config import ConfigError, config_fingerprint, load_config, parse_config
 from fedsim.data import format_float, load_partition
 from fedsim.evaluation import summarize_accuracies
+from fedsim.federation import select_clients
 
 TINY = """\
 rounds = 3
@@ -80,30 +85,39 @@ def test_run_quiet_suppresses_progress(tiny_cfg_path, tmp_path, capsys):
     assert captured.out.startswith("final_accuracy=")
 
 
-def test_run_outputs_byte_identical_across_reruns_and_workers(
-    tiny_cfg_path, tmp_path, capsys
-):
-    outs = [tmp_path / f"out{i}" for i in range(3)]
-    for out, workers in zip(outs, ["1", "1", "4"]):
+def test_run_outputs_byte_identical_across_reruns(tiny_cfg_path, tmp_path, capsys):
+    outs = [tmp_path / f"out{i}" for i in range(2)]
+    for out in outs:
         assert (
-            main(
-                [
-                    "run",
-                    "--config",
-                    str(tiny_cfg_path),
-                    "--out",
-                    str(out),
-                    "--quiet",
-                    "--workers",
-                    workers,
-                ]
-            )
+            main(["run", "--config", str(tiny_cfg_path), "--out", str(out), "--quiet"])
             == 0
         )
     capsys.readouterr()
     for name in ("rounds.csv", "labels.csv", "summary.json"):
         blobs = [(o / name).read_bytes() for o in outs]
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("method", ["fedavg", "fedprox\nmu = 0.3"])
+def test_run_divergence_is_one_error_line(tmp_path, capsys, method):
+    cfg_path = tmp_path / "wild.cfg"
+    cfg_path.write_text(
+        f"method = {method}\nlearning_rate = 1e307\nrounds = 5\n", encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        status = main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    m = re.fullmatch(
+        r"error: round 0, client (\d+), epoch \d+: local training diverged", lines[0]
+    )
+    assert m and int(m[1]) in select_clients(10, 0.5, 0, 0)
+    assert not out.exists()
 
 
 def test_main_error_paths(tmp_path, capsys):
@@ -188,6 +202,41 @@ def test_suite_writes_table_and_per_run_dirs(tmp_path, capsys):
     assert meta["std_convention"] == "sample (ddof=1)"
 
 
+def test_suite_rejects_duplicate_cells(tmp_path, capsys):
+    cfg_path = tmp_path / "dup.cfg"
+    cfg_path.write_text(TINY + "methods = fedavg, fedavg\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: methods: 'fedavg' duplicates 'fedavg'\n"
+    assert not out.exists()
+
+
+def test_suite_runs_bare_and_explicit_mu_cells_to_completion(tmp_path, capsys):
+    # A bare fedprox takes the config's mu (default 0.2), so it and
+    # fedprox(0.3) are distinct cells, even though each cell's own config
+    # carries the other's mu.
+    cfg_path = tmp_path / "mus.cfg"
+    cfg_path.write_text(
+        TINY.replace("rounds = 3", "rounds = 1")
+        + "methods = fedprox, fedprox(0.3)\npartitions = iid, shards(1)\nseeds = 0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_rows(out / "table.csv")
+    assert [(r[0], r[1]) for r in rows[1:]] == [
+        ("fedprox", "iid"),
+        ("fedprox", "shards(1)"),
+        ("fedprox(0.3)", "iid"),
+        ("fedprox(0.3)", "shards(1)"),
+    ]
+    for combo, mu in [("fedprox_shards-1", 0.2), ("fedprox-0.3_shards-1", 0.3)]:
+        summary = json.loads((out / combo / "seed_0" / "summary.json").read_text())
+        assert summary["config"]["mu"] == mu
+
+
 def test_suite_seed_override_and_single_seed_std(tmp_path, capsys):
     cfg = parse_config(TINY)
     out = tmp_path / "s"
@@ -240,6 +289,9 @@ def test_baseline_writes_summary(tmp_path, capsys):
 
 def test_module_entrypoint_runs(tiny_cfg_path, tmp_path):
     out = tmp_path / "sub"
+    # The child imports the same fedsim checkout as this test process.
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [
             sys.executable,
@@ -254,6 +306,7 @@ def test_module_entrypoint_runs(tiny_cfg_path, tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("final_accuracy=")

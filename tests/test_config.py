@@ -11,6 +11,8 @@ from fedsim.config import (
     ExperimentConfig,
     FileData,
     SyntheticData,
+    canonical_method,
+    canonical_partition,
     config_fingerprint,
     config_to_dict,
     load_config,
@@ -159,6 +161,32 @@ def test_sweep_keys():
         parse_config("methods = fedavg, adam")
     with pytest.raises(ConfigError, match="iid or shards"):
         parse_config("partitions = pathological")
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("methods = fedavg, fedavg", "methods"),
+        ("methods = fedprox(0.3), fedprox(.3)", "methods"),
+        ("method = fedprox\nmu = 0.3\nmethods = fedprox, fedprox(0.30)", "methods"),
+        ("partitions = shards(2), iid, shards(02)", "partitions"),
+        ("partitions = iid, IID", "partitions"),
+    ],
+)
+def test_duplicate_sweep_cells_name_the_key(text, key):
+    with pytest.raises(ConfigError, match=f"^{key}: '.+' duplicates '.+'$"):
+        parse_config(text)
+
+
+def test_distinct_sweep_tokens_keep_their_text():
+    cfg = parse_config(
+        "methods = fedavg, fedprox, fedprox(.3), fedprox(0)\n"
+        "partitions = iid, shards(1), shards(2)"
+    )
+    assert cfg.suite_methods == ("fedavg", "fedprox", "fedprox(.3)", "fedprox(0)")
+    assert canonical_method(cfg, "fedprox(.3)") == canonical_method(cfg, "fedprox(0.3)")
+    assert canonical_method(cfg, "fedprox") == ("fedprox", cfg.mu)
+    assert canonical_partition(cfg, "Shards(02)") == ("shards", 2)
 
 
 def test_mu_warning_only_for_fedavg():

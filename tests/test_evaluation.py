@@ -17,7 +17,7 @@ from fedsim.evaluation import (
 )
 from fedsim.federation import run_federation
 from fedsim.model import ParamVector, params_equal
-from fedsim.training import HyperParams, local_train
+from fedsim.training import HyperParams, train_cohort
 from fedsim.seeds import LOCAL_STREAM, derive
 
 
@@ -57,12 +57,12 @@ def test_centralized_train_is_full_split_local_train():
     d = generate_synthetic(50, 3, 5, 3.0, 1)
     h = HyperParams(batch_size=16)
     got = centralized_train(d, h, 4, 7)
-    want = local_train(
+    (want,) = train_cohort(
         ParamVector.zeros(3, 5),
         d,
-        ClientSplit(0, np.arange(50)),
+        [ClientSplit(0, np.arange(50))],
         replace(h, local_epochs=4),
-        derive(7, LOCAL_STREAM, 0, 0),
+        [derive(7, LOCAL_STREAM, 0, 0)],
     )
     assert params_equal(got, want.params)
 

@@ -16,7 +16,8 @@ from fedsim.federation import (
     select_clients,
 )
 from fedsim.model import ParamVector, params_equal
-from fedsim.training import HyperParams, LocalUpdate
+from fedsim.seeds import LOCAL_STREAM, derive
+from fedsim.training import HyperParams, LocalUpdate, train_cohort
 from oracles import max_abs_diff, rand_params, scalar_weighted_mean
 
 
@@ -158,26 +159,46 @@ def test_run_round_zero_learning_rate_keeps_global_params():
     assert 0.0 <= report.test_accuracy <= 1.0
 
 
-def test_run_round_parallelism_is_bit_identical():
-    cfg = tiny_config(n_clients=6, fraction=1.0)
+def test_run_round_matches_clients_trained_alone():
+    # Full participation over clients of unequal sizes with ragged final
+    # batches: the round's losses and average are those of solo training.
+    cfg = tiny_config(n_clients=6, fraction=1.0, partition_mode="shards")
+    data, state = prepared(cfg)
+    assert len({s.n_samples for s in data.splits}) > 1
+    h = cfg.hyperparams()
+    new_state, report = run_round(
+        state, data.train, data.splits, data.test, h, fraction=1.0, seed=cfg.seed
+    )
+    alone = [
+        train_cohort(
+            state.global_params, data.train, [s], h,
+            [derive(cfg.seed, LOCAL_STREAM, 0, s.client_id)],
+        )[0]
+        for s in data.splits
+    ]
+    assert report.client_losses == tuple(u.mean_final_epoch_loss for u in alone)
+    assert params_equal(new_state.global_params, aggregate(alone))
+
+
+def test_run_round_client_losses_do_not_depend_on_cohort():
+    cfg = tiny_config(n_clients=6)
     data, state = prepared(cfg)
     h = cfg.hyperparams()
-    seq_state, seq_rep = run_round(
-        state, data.train, data.splits, data.test, h,
-        fraction=1.0, seed=cfg.seed, max_workers=1,
+    _, full = run_round(
+        state, data.train, data.splits, data.test, h, fraction=1.0, seed=cfg.seed
     )
-    par_state, par_rep = run_round(
-        state, data.train, data.splits, data.test, h,
-        fraction=1.0, seed=cfg.seed, max_workers=4,
+    _, half = run_round(
+        state, data.train, data.splits, data.test, h, fraction=0.5, seed=cfg.seed
     )
-    assert params_equal(seq_state.global_params, par_state.global_params)
-    assert seq_rep == par_rep
+    by_client = dict(zip(full.selected_clients, full.client_losses))
+    assert len(half.selected_clients) == 3
+    assert half.client_losses == tuple(by_client[c] for c in half.selected_clients)
 
 
 def test_run_federation_deterministic():
     cfg = tiny_config()
     a = run_federation(cfg)
-    b = run_federation(cfg, max_workers=3)
+    b = run_federation(cfg)
     assert a.history == b.history
     assert params_equal(a.final_state.global_params, b.final_state.global_params)
     assert a.final_accuracy == b.final_accuracy

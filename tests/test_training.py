@@ -1,9 +1,12 @@
-"""Local SGD: closed-form steps, proximal behavior, and a full loop oracle."""
+"""Local SGD: closed-form steps, proximal behavior, a full loop oracle, and
+cohort invariance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsim.data import ClientSplit, generate_synthetic
+from fedsim.data import ClientSplit, Dataset, generate_synthetic
 from fedsim.model import (
     Batch,
     ParamVector,
@@ -13,17 +16,24 @@ from fedsim.model import (
 )
 from fedsim.seeds import derive, key_rng
 from fedsim.training import (
+    DivergenceError,
     HyperParams,
     LocalUpdate,
     local_objective,
-    local_train,
     proximal_penalty,
+    train_cohort,
 )
 
 
 def small_problem(seed=0, n=40, n_classes=3, dim=5):
     d = generate_synthetic(n, n_classes, dim, 3.0, seed)
     return d, ClientSplit(0, np.arange(n)), ParamVector.zeros(n_classes, dim)
+
+
+def local_train(w_g, data, split, h, seed):
+    """One client trained alone: a cohort of one."""
+    (update,) = train_cohort(w_g, data, [split], h, [seed])
+    return update
 
 
 def test_hyperparams_defaults():
@@ -226,3 +236,68 @@ def test_local_train_validation():
         local_train(ParamVector.zeros(3, 6), d, split, HyperParams(), 0)
     with pytest.raises(ValueError, match="classes"):
         local_train(ParamVector.zeros(2, 5), d, split, HyperParams(), 0)
+    with pytest.raises(ValueError, match="non-empty"):
+        train_cohort(w0, d, [], HyperParams(), [])
+    with pytest.raises(ValueError, match="seeds"):
+        train_cohort(w0, d, [split, split], HyperParams(), [0])
+
+
+OBJECTIVE_CASES = [("fedavg", 0.4), ("fedprox", 0.4), ("fedprox", 0.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    batch_size=st.integers(1, 12),
+    local_epochs=st.integers(1, 3),
+    objective=st.sampled_from(OBJECTIVE_CASES),
+    draw=st.data(),
+)
+def test_cohort_update_is_bit_identical_to_training_alone(
+    sizes, batch_size, local_epochs, objective, draw
+):
+    # Clients of random sizes (most leave a ragged final batch) train as a
+    # random subset in a random order; each must match its solo run exactly.
+    d = generate_synthetic(200, 3, 5, 3.0, 0)
+    bounds = np.cumsum([0, *sizes])
+    splits = [ClientSplit(c, np.arange(bounds[c], bounds[c + 1])) for c in range(len(sizes))]
+    order = draw.draw(st.permutations(range(len(sizes))))
+    cohort = order[: draw.draw(st.integers(1, len(sizes)))]
+    rng = np.random.default_rng(len(sizes))
+    w0 = ParamVector(rng.normal(size=(3, 5)) * 0.1, rng.normal(size=3) * 0.1)
+    h = HyperParams(
+        learning_rate=0.05,
+        batch_size=batch_size,
+        local_epochs=local_epochs,
+        mu=objective[1],
+        objective=objective[0],
+    )
+    together = train_cohort(w0, d, [splits[c] for c in cohort], h, [(7, c) for c in cohort])
+    for c, got in zip(cohort, together):
+        alone = local_train(w0, d, splits[c], h, (7, c))
+        assert params_equal(got.params, alone.params)
+        assert got.mean_final_epoch_loss == alone.mean_final_epoch_loss
+        assert got.n_samples == alone.n_samples == sizes[c]
+
+
+def test_divergence_names_the_first_diverging_client_and_epoch():
+    # Client 0 sits on well-scaled rows; clients 1-3 on rows scaled by 1e300,
+    # whose first step leaves weights that overflow the next logits.
+    base = generate_synthetic(30, 2, 3, 3.0, 0)
+    features = base.features.copy()
+    features[10:] *= 1e300
+    d = Dataset(features, base.labels, 2)
+    w0 = ParamVector.zeros(2, 3)
+    calm, wild, wilder = (ClientSplit(c, np.arange(10 * c, 10 * c + 10)) for c in range(3))
+    short = ClientSplit(3, np.arange(20, 25))  # one step per epoch
+    h = HyperParams(learning_rate=0.1, batch_size=5, local_epochs=2)
+    local_train(w0, d, calm, h, 0)
+    cases = [
+        ([calm, wild], "client 1, epoch 0"),
+        ([wilder, calm, wild], "client 2, epoch 0"),
+        ([calm, short], "client 3, epoch 1"),
+    ]
+    for splits, where in cases:
+        with pytest.raises(DivergenceError) as info:
+            train_cohort(w0, d, splits, h, list(range(len(splits))))
+        assert str(info.value) == f"{where}: local training diverged"
