@@ -10,7 +10,8 @@ rest of the setup is shared.  Run:
 
 from dataclasses import replace
 
-from fedsim import ExperimentConfig, SyntheticData, run_experiment_suite
+from fedsim import ExperimentConfig, SyntheticData, run_federation
+from fedsim.evaluation import summarize_accuracies
 
 SEEDS = (0, 1, 2)
 
@@ -43,10 +44,11 @@ def main() -> None:
           f"{base.n_clients} clients\n")
     print("  method        partition   per-seed accuracy        mean     std")
     for cfg in variants:
-        summary = run_experiment_suite(cfg, SEEDS)
-        per_seed = "  ".join(f"{a:.3f}" for a in summary.accuracies)
+        accs = [run_federation(replace(cfg, seed=s)).final_accuracy for s in SEEDS]
+        mean, std = summarize_accuracies(accs)
+        per_seed = "  ".join(f"{a:.3f}" for a in accs)
         print(f"  {cfg.method_token():<12}  {cfg.partition_token():<9}"
-              f"  {per_seed}  {summary.mean:>7.4f}  {summary.std:.4f}")
+              f"  {per_seed}  {mean:>7.4f}  {std:.4f}")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .config import (
     ExperimentConfig,
     canonical_method,
     canonical_partition,
+    check_seeds,
     check_sweep_cells,
     config_fingerprint,
     config_to_dict,
@@ -129,10 +130,7 @@ def cmd_suite(
     run writes the same files as ``run`` under out/<combo>/seed_<s>/.
     """
     seed_list = list(seeds) if seeds is not None else list(cfg.suite_seeds)
-    if not seed_list:
-        raise ConfigError("seeds: must list at least one seed")
-    if len(set(seed_list)) != len(seed_list):
-        raise ConfigError(f"seeds: seeds must be distinct, got {seed_list}")
+    check_seeds(seed_list, seed_list)
     check_sweep_cells(cfg)
     method_tokens = cfg.suite_methods or (cfg.method_token(),)
     partition_tokens = cfg.suite_partitions or (cfg.partition_token(),)

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "SyntheticData",
     "canonical_method",
     "canonical_partition",
+    "check_seeds",
     "check_sweep_cells",
     "config_fingerprint",
     "config_to_dict",
@@ -134,19 +135,14 @@ class ExperimentConfig:
         return f"shards({self.shards_per_client})"
 
 
-def _int_field(key: str, text: str) -> int:
+def _number(key: str, text: str, kind: type = float) -> Any:
+    """``text`` as a ``kind`` (int or float), which must be finite."""
     try:
-        return int(text)
+        value = kind(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-
-
-def _float_field(key: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-    if not np.isfinite(value):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {noun}, got {text!r}") from None
+    if kind is float and not np.isfinite(value):
         raise ConfigError(f"{key}: must be finite, got {text!r}")
     return value
 
@@ -163,9 +159,7 @@ def _call_form(key: str, text: str) -> tuple[str, str | None]:
 
 def _kwargs_form(key: str, args: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    if not args:
-        return out
-    for item in args.split(","):
+    for item in args.split(",") if args else ():
         name, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"{key}: expected name=value, got {item.strip()!r}")
@@ -185,7 +179,7 @@ def parse_method_token(token: str) -> tuple[str, float | None]:
         return name, None
     if name == "fedavg":
         raise ConfigError(f"method: fedavg takes no argument, got {token!r}")
-    mu = _float_field("method", args)
+    mu = _number("method", args)
     if mu < 0:
         raise ConfigError(f"method: mu must be >= 0, got {args!r}")
     return name, mu
@@ -201,7 +195,7 @@ def parse_partition_token(token: str) -> tuple[str, int | None]:
     if name == "shards":
         if args is None or args == "":
             raise ConfigError("partition: shards requires a count, e.g. shards(2)")
-        k = _int_field("partition", args)
+        k = _number("partition", args, int)
         if k < 1:
             raise ConfigError(f"partition: shard count must be >= 1, got {k}")
         return "shards", k
@@ -238,16 +232,20 @@ def check_sweep_cells(cfg: ExperimentConfig) -> None:
             seen[cell] = t
 
 
+def check_seeds(seeds: Sequence[int], got: object, key: str = "seeds") -> None:
+    """The seed-list rule: at least one seed, each >= 0, all distinct."""
+    if not seeds:
+        raise ConfigError(f"{key}: must list at least one seed")
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"{key}: seeds must be >= 0, got {got}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{key}: seeds must be distinct, got {got}")
+
+
 def parse_seed_list(key: str, text: str) -> tuple[int, ...]:
     """Comma list of distinct non-negative ints."""
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{key}: must list at least one seed")
-    seeds = tuple(_int_field(key, s) for s in items)
-    if any(s < 0 for s in seeds):
-        raise ConfigError(f"{key}: seeds must be >= 0, got {text!r}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{key}: seeds must be distinct, got {text!r}")
+    seeds = tuple(_number(key, s.strip(), int) for s in text.split(",") if s.strip())
+    check_seeds(seeds, repr(text), key)
     return seeds
 
 
@@ -255,23 +253,12 @@ def _parse_dataset(text: str) -> SyntheticData | FileData:
     name, args = _call_form("dataset", text)
     kind = name.strip().lower()
     if kind == "synthetic":
-        kwargs = _kwargs_form("dataset", args or "")
-        allowed = {
-            "n_samples": int,
-            "n_classes": int,
-            "feature_dim": int,
-            "separation": float,
-            "test_fraction": float,
-        }
+        defaults = asdict(SyntheticData())
         values: dict[str, Any] = {}
-        for k, v in kwargs.items():
-            if k not in allowed:
+        for k, v in _kwargs_form("dataset", args or "").items():
+            if k not in defaults:
                 raise ConfigError(f"dataset: unknown synthetic argument {k!r}")
-            values[k] = (
-                _int_field(f"dataset.{k}", v)
-                if allowed[k] is int
-                else _float_field(f"dataset.{k}", v)
-            )
+            values[k] = _number(f"dataset.{k}", v, type(defaults[k]))
         return SyntheticData(**values)
     if kind == "file":
         kwargs = _kwargs_form("dataset", args or "")
@@ -283,23 +270,118 @@ def _parse_dataset(text: str) -> SyntheticData | FileData:
     raise ConfigError(f"dataset: must be synthetic(...) or file(...), got {text!r}")
 
 
-_KEYS = (
-    "method",
-    "mu",
-    "n_clients",
-    "fraction",
-    "rounds",
-    "local_epochs",
-    "batch_size",
-    "learning_rate",
-    "partition",
-    "dataset",
-    "seed",
-    "seeds",
-    "weighting",
-    "methods",
-    "partitions",
-)
+def _dataset_token(ds: SyntheticData | FileData) -> str:
+    if isinstance(ds, SyntheticData):
+        return (
+            f"synthetic(n_samples={ds.n_samples}, n_classes={ds.n_classes}, "
+            f"feature_dim={ds.feature_dim}, separation={ds.separation!r}, "
+            f"test_fraction={ds.test_fraction!r})"
+        )
+    return f"file(train={ds.train_path}, test={ds.test_path})"
+
+
+def _dataset_echo(ds: SyntheticData | FileData) -> dict[str, Any]:
+    kind = "synthetic" if isinstance(ds, SyntheticData) else "file"
+    return {"kind": kind, **asdict(ds)}
+
+
+def _parse_method_key(text: str) -> dict[str, Any]:
+    name, mu = parse_method_token(text)
+    if mu is not None:
+        raise ConfigError("method: set mu through the mu key, not method(...)")
+    return {"method": name}
+
+
+def _parse_partition_key(text: str) -> dict[str, Any]:
+    mode, k = parse_partition_token(text)
+    return {"partition_mode": mode} | ({} if k is None else {"shards_per_client": k})
+
+
+def _check_selected(cfg: ExperimentConfig) -> None:
+    if int(cfg.fraction * cfg.n_clients + 0.5) < 1:
+        raise ConfigError(f"fraction: {cfg.fraction} of {cfg.n_clients} clients "
+                          "rounds to zero selected per round")
+
+
+def _check_partition(cfg: ExperimentConfig) -> None:
+    mode, k = cfg.partition_mode, cfg.shards_per_client
+    if mode not in ("iid", "shards"):
+        raise ConfigError(f"partition: must be iid or shards(K), got {mode!r}")
+    if k < 1:
+        raise ConfigError(f"partition: shard count must be >= 1, got {k}")
+
+
+class _Key(NamedTuple):
+    """One config key: how its text sets fields, renders back and is checked."""
+
+    name: str
+    parse: Callable[[str], dict[str, Any]]  # value text -> ExperimentConfig fields
+    text: Callable[[ExperimentConfig], str | None]  # canonical value; None: no line
+    echo: Callable[[ExperimentConfig], Any]  # its config_to_dict value
+    check: Callable[[ExperimentConfig], None] = lambda cfg: None
+
+
+def _field(name, kind, bad, rule, parse=None, then=lambda cfg: None) -> _Key:
+    """A key held in field ``name`` of type ``kind``; ``bad(value)`` breaks ``rule``."""
+    def parse_field(text: str) -> dict[str, Any]:
+        return {name: text.lower() if kind is str else _number(name, text, kind)}
+
+    def check(cfg: ExperimentConfig) -> None:
+        value = getattr(cfg, name)
+        if bad(value):
+            got = repr(value) if kind is str else value
+            raise ConfigError(f"{name}: {rule}, got {got}")
+        then(cfg)
+
+    return _Key(name, parse or parse_field,
+                lambda cfg: (repr if kind is float else str)(getattr(cfg, name)),
+                lambda cfg: getattr(cfg, name), check)
+
+
+def _sweep(name: str, attr: str, parse_token: Callable) -> _Key:
+    """A comma list of sweep tokens; an empty list writes no line."""
+    def parse(text: str) -> dict[str, Any]:
+        tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
+        if not tokens:
+            raise ConfigError(f"{name}: must list at least one {name[:-1]}")
+        return {attr: tokens}
+
+    def check(cfg: ExperimentConfig) -> None:
+        for t in getattr(cfg, attr):
+            parse_token(t)
+
+    return _Key(name, parse, lambda cfg: ", ".join(getattr(cfg, attr)) or None,
+                lambda cfg: list(getattr(cfg, attr)), check)
+
+
+# One row per key, in canonical order.  Parsing, validate_config's per-key
+# checks, serialize_config and config_to_dict all walk this table.  The
+# dataset's checks come after it, in validate_config.
+_TABLE = {k.name: k for k in (
+    _field("method", str, lambda v: v not in OBJECTIVES, f"must be one of {OBJECTIVES}",
+           parse=_parse_method_key),
+    _field("mu", float, lambda v: not 0 <= v < np.inf, "must be >= 0 and finite"),
+    _field("n_clients", int, lambda v: v < 1, "must be >= 1"),
+    _field("fraction", float, lambda v: not 0.0 < v <= 1.0, "must be in (0, 1]",
+           then=_check_selected),
+    _field("rounds", int, lambda v: v < 0, "must be >= 0"),
+    _field("local_epochs", int, lambda v: v < 1, "must be >= 1"),
+    _field("batch_size", int, lambda v: v < 1, "must be >= 1"),
+    _field("learning_rate", float, lambda v: not 0 < v < np.inf, "must be > 0"),
+    _Key("partition", _parse_partition_key, ExperimentConfig.partition_token,
+         ExperimentConfig.partition_token, _check_partition),
+    _Key("dataset", lambda t: {"dataset": _parse_dataset(t)},
+         lambda c: _dataset_token(c.dataset), lambda c: _dataset_echo(c.dataset)),
+    _field("seed", int, lambda v: v < 0, "must be >= 0"),
+    _Key("seeds", lambda text: {"suite_seeds": parse_seed_list("seeds", text)},
+         lambda cfg: ", ".join(str(s) for s in cfg.suite_seeds),
+         lambda cfg: list(cfg.suite_seeds),
+         lambda cfg: check_seeds(cfg.suite_seeds, cfg.suite_seeds)),
+    _field("weighting", str, lambda v: v not in WEIGHTINGS,
+           f"must be one of {WEIGHTINGS}"),
+    _sweep("methods", "suite_methods", parse_method_token),
+    _sweep("partitions", "suite_partitions", parse_partition_token),
+)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -314,7 +396,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in _TABLE:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -323,57 +405,9 @@ def parse_config(text: str) -> ExperimentConfig:
         entries[key] = value
 
     fields: dict[str, Any] = {}
-    if "method" in entries:
-        name, mu = parse_method_token(entries["method"])
-        if mu is not None:
-            raise ConfigError(
-                "method: set mu through the mu key, not method(...)"
-            )
-        fields["method"] = name
-    if "mu" in entries:
-        fields["mu"] = _float_field("mu", entries["mu"])
-    if "n_clients" in entries:
-        fields["n_clients"] = _int_field("n_clients", entries["n_clients"])
-    if "fraction" in entries:
-        fields["fraction"] = _float_field("fraction", entries["fraction"])
-    if "rounds" in entries:
-        fields["rounds"] = _int_field("rounds", entries["rounds"])
-    if "local_epochs" in entries:
-        fields["local_epochs"] = _int_field("local_epochs", entries["local_epochs"])
-    if "batch_size" in entries:
-        fields["batch_size"] = _int_field("batch_size", entries["batch_size"])
-    if "learning_rate" in entries:
-        fields["learning_rate"] = _float_field(
-            "learning_rate", entries["learning_rate"]
-        )
-    if "partition" in entries:
-        mode, k = parse_partition_token(entries["partition"])
-        fields["partition_mode"] = mode
-        if k is not None:
-            fields["shards_per_client"] = k
-    if "dataset" in entries:
-        fields["dataset"] = _parse_dataset(entries["dataset"])
-    if "seed" in entries:
-        fields["seed"] = _int_field("seed", entries["seed"])
-    if "seeds" in entries:
-        fields["suite_seeds"] = parse_seed_list("seeds", entries["seeds"])
-    if "weighting" in entries:
-        fields["weighting"] = entries["weighting"].lower()
-    if "methods" in entries:
-        tokens = tuple(
-            t.strip().lower() for t in entries["methods"].split(",") if t.strip()
-        )
-        if not tokens:
-            raise ConfigError("methods: must list at least one method")
-        fields["suite_methods"] = tokens
-    if "partitions" in entries:
-        tokens = tuple(
-            t.strip().lower() for t in entries["partitions"].split(",") if t.strip()
-        )
-        if not tokens:
-            raise ConfigError("partitions: must list at least one partition")
-        fields["suite_partitions"] = tokens
-
+    for k in _TABLE.values():
+        if k.name in entries:
+            fields.update(k.parse(entries[k.name]))
     cfg = ExperimentConfig(**fields)
     validate_config(cfg)
     check_sweep_cells(cfg)
@@ -390,179 +424,65 @@ def load_config(path: str) -> ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check every field against its documented range; raise ConfigError."""
-    if cfg.method not in OBJECTIVES:
-        raise ConfigError(f"method: must be one of {OBJECTIVES}, got {cfg.method!r}")
-    if not np.isfinite(cfg.mu) or cfg.mu < 0:
-        raise ConfigError(f"mu: must be >= 0 and finite, got {cfg.mu}")
-    if cfg.n_clients < 1:
-        raise ConfigError(f"n_clients: must be >= 1, got {cfg.n_clients}")
-    if not 0.0 < cfg.fraction <= 1.0:
-        raise ConfigError(f"fraction: must be in (0, 1], got {cfg.fraction}")
-    if int(cfg.fraction * cfg.n_clients + 0.5) < 1:
-        raise ConfigError(
-            f"fraction: {cfg.fraction} of {cfg.n_clients} clients rounds to "
-            "zero selected per round"
-        )
-    if cfg.rounds < 0:
-        raise ConfigError(f"rounds: must be >= 0, got {cfg.rounds}")
-    if cfg.local_epochs < 1:
-        raise ConfigError(f"local_epochs: must be >= 1, got {cfg.local_epochs}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size: must be >= 1, got {cfg.batch_size}")
-    if not np.isfinite(cfg.learning_rate) or cfg.learning_rate <= 0:
-        raise ConfigError(
-            f"learning_rate: must be > 0, got {cfg.learning_rate}"
-        )
-    if cfg.partition_mode not in ("iid", "shards"):
-        raise ConfigError(
-            f"partition: must be iid or shards(K), got {cfg.partition_mode!r}"
-        )
-    if cfg.shards_per_client < 1:
-        raise ConfigError(
-            f"partition: shard count must be >= 1, got {cfg.shards_per_client}"
-        )
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
-    if not cfg.suite_seeds:
-        raise ConfigError("seeds: must list at least one seed")
-    if any(s < 0 for s in cfg.suite_seeds):
-        raise ConfigError(f"seeds: seeds must be >= 0, got {cfg.suite_seeds}")
-    if len(set(cfg.suite_seeds)) != len(cfg.suite_seeds):
-        raise ConfigError(f"seeds: seeds must be distinct, got {cfg.suite_seeds}")
-    if cfg.weighting not in WEIGHTINGS:
-        raise ConfigError(
-            f"weighting: must be one of {WEIGHTINGS}, got {cfg.weighting!r}"
-        )
-    for t in cfg.suite_methods:
-        parse_method_token(t)
-    for t in cfg.suite_partitions:
-        parse_partition_token(t)
-
+    for k in _TABLE.values():
+        k.check(cfg)
     ds = cfg.dataset
-    if isinstance(ds, SyntheticData):
-        if ds.n_classes < 2:
-            raise ConfigError(f"dataset: n_classes must be >= 2, got {ds.n_classes}")
-        if ds.feature_dim < ds.n_classes:
-            raise ConfigError(
-                f"dataset: feature_dim must be >= n_classes, got "
-                f"{ds.feature_dim} < {ds.n_classes}"
-            )
-        if not ds.separation > 0:
-            raise ConfigError(f"dataset: separation must be > 0, got {ds.separation}")
-        if not 0.0 < ds.test_fraction < 1.0:
-            raise ConfigError(
-                f"dataset: test_fraction must be in (0, 1), got {ds.test_fraction}"
-            )
-        n_test = int(round(ds.test_fraction * ds.n_samples))
-        n_train = ds.n_samples - n_test
-        if n_train < ds.n_classes or n_test < ds.n_classes:
-            raise ConfigError(
-                f"dataset: {ds.n_samples} samples leave train={n_train}, "
-                f"test={n_test}; both must be >= n_classes ({ds.n_classes})"
-            )
-        _check_partition_feasible(cfg, n_train, ds.n_classes)
-    else:
+    if not isinstance(ds, SyntheticData):
         if not ds.train_path or not ds.test_path:
             raise ConfigError("dataset: file paths must be non-empty")
-
-
-def _check_partition_feasible(
-    cfg: ExperimentConfig, n_train: int, n_classes: int
-) -> None:
-    if cfg.partition_mode == "iid":
-        if cfg.n_clients > n_train:
-            raise ConfigError(
-                f"partition: {cfg.n_clients} clients cannot split "
-                f"{n_train} training samples"
-            )
         return
-    total = cfg.n_clients * cfg.shards_per_client
-    if total > n_train:
+    if ds.n_classes < 2:
+        raise ConfigError(f"dataset: n_classes must be >= 2, got {ds.n_classes}")
+    if ds.feature_dim < ds.n_classes:
         raise ConfigError(
-            f"partition: infeasible, {total} shards "
-            f"({cfg.n_clients} clients x {cfg.shards_per_client}) exceed "
+            f"dataset: feature_dim must be >= n_classes, got "
+            f"{ds.feature_dim} < {ds.n_classes}"
+        )
+    if not ds.separation > 0:
+        raise ConfigError(f"dataset: separation must be > 0, got {ds.separation}")
+    if not 0.0 < ds.test_fraction < 1.0:
+        raise ConfigError(
+            f"dataset: test_fraction must be in (0, 1), got {ds.test_fraction}"
+        )
+    n_test = int(round(ds.test_fraction * ds.n_samples))
+    n_train = ds.n_samples - n_test
+    if n_train < ds.n_classes or n_test < ds.n_classes:
+        raise ConfigError(
+            f"dataset: {ds.n_samples} samples leave train={n_train}, "
+            f"test={n_test}; both must be >= n_classes ({ds.n_classes})"
+        )
+    total = cfg.n_clients * cfg.shards_per_client
+    if cfg.partition_mode == "iid" and cfg.n_clients > n_train:
+        raise ConfigError(
+            f"partition: {cfg.n_clients} clients cannot split "
             f"{n_train} training samples"
         )
-    if total < n_classes:
+    if cfg.partition_mode == "shards" and total > n_train:
+        raise ConfigError(
+            f"partition: infeasible, {total} shards ({cfg.n_clients} clients x "
+            f"{cfg.shards_per_client}) exceed {n_train} training samples"
+        )
+    if cfg.partition_mode == "shards" and total < ds.n_classes:
         raise ConfigError(
             f"partition: infeasible, {total} shards cannot cover "
-            f"{n_classes} classes with one shard each"
+            f"{ds.n_classes} classes with one shard each"
         )
-
-
-def _dataset_token(ds: SyntheticData | FileData) -> str:
-    if isinstance(ds, SyntheticData):
-        return (
-            f"synthetic(n_samples={ds.n_samples}, n_classes={ds.n_classes}, "
-            f"feature_dim={ds.feature_dim}, separation={ds.separation!r}, "
-            f"test_fraction={ds.test_fraction!r})"
-        )
-    return f"file(train={ds.train_path}, test={ds.test_path})"
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: every key explicit, fixed order, LF line ends.
 
     Floats render with repr, which round-trips exactly, so
-    ``parse_config(serialize_config(cfg)) == cfg`` for any valid config.
+    ``parse_config(serialize_config(cfg)) == cfg`` for any valid config whose
+    iid partition keeps the default shard count (``iid`` names none).
     """
-    lines = [
-        f"method = {cfg.method}",
-        f"mu = {cfg.mu!r}",
-        f"n_clients = {cfg.n_clients}",
-        f"fraction = {cfg.fraction!r}",
-        f"rounds = {cfg.rounds}",
-        f"local_epochs = {cfg.local_epochs}",
-        f"batch_size = {cfg.batch_size}",
-        f"learning_rate = {cfg.learning_rate!r}",
-        f"partition = {cfg.partition_token()}",
-        f"dataset = {_dataset_token(cfg.dataset)}",
-        f"seed = {cfg.seed}",
-        f"seeds = {', '.join(str(s) for s in cfg.suite_seeds)}",
-        f"weighting = {cfg.weighting}",
-    ]
-    if cfg.suite_methods:
-        lines.append(f"methods = {', '.join(cfg.suite_methods)}")
-    if cfg.suite_partitions:
-        lines.append(f"partitions = {', '.join(cfg.suite_partitions)}")
+    lines = [f"{n} = {v}" for n, k in _TABLE.items() if (v := k.text(cfg)) is not None]
     return "\n".join(lines) + "\n"
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """JSON-friendly echo of every field, for run metadata."""
-    ds = cfg.dataset
-    if isinstance(ds, SyntheticData):
-        dataset = {
-            "kind": "synthetic",
-            "n_samples": ds.n_samples,
-            "n_classes": ds.n_classes,
-            "feature_dim": ds.feature_dim,
-            "separation": ds.separation,
-            "test_fraction": ds.test_fraction,
-        }
-    else:
-        dataset = {
-            "kind": "file",
-            "train_path": ds.train_path,
-            "test_path": ds.test_path,
-        }
-    return {
-        "method": cfg.method,
-        "mu": cfg.mu,
-        "n_clients": cfg.n_clients,
-        "fraction": cfg.fraction,
-        "rounds": cfg.rounds,
-        "local_epochs": cfg.local_epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "partition": cfg.partition_token(),
-        "dataset": dataset,
-        "seed": cfg.seed,
-        "seeds": list(cfg.suite_seeds),
-        "weighting": cfg.weighting,
-        "methods": list(cfg.suite_methods),
-        "partitions": list(cfg.suite_partitions),
-    }
+    return {name: k.echo(cfg) for name, k in _TABLE.items()}
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:

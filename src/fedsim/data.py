@@ -19,7 +19,6 @@ from .seeds import SeedKey, derive, key_rng
 __all__ = [
     "ClientSplit",
     "Dataset",
-    "PartitionSpec",
     "ShardPartition",
     "allocate_shards",
     "format_float",
@@ -27,7 +26,6 @@ __all__ = [
     "label_distribution",
     "load_dataset",
     "load_partition",
-    "partition_dataset",
     "partition_iid",
     "partition_shards",
     "partition_shards_detailed",
@@ -125,26 +123,6 @@ class ClientSplit:
     @property
     def n_samples(self) -> int:
         return self.indices.size
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """How to split a dataset across clients: "iid" or single-label "shards"."""
-
-    mode: str
-    n_clients: int
-    shards_per_client: int = 1
-    seed: SeedKey = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("iid", "shards"):
-            raise ValueError(f"mode must be 'iid' or 'shards', got {self.mode!r}")
-        if self.n_clients < 1:
-            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.shards_per_client < 1:
-            raise ValueError(
-                f"shards_per_client must be >= 1, got {self.shards_per_client}"
-            )
 
 
 def generate_synthetic(
@@ -329,13 +307,6 @@ def partition_shards(
 ) -> list[ClientSplit]:
     """Label-sharded partition; see partition_shards_detailed."""
     return list(partition_shards_detailed(d, n_clients, shards_per_client, seed).splits)
-
-
-def partition_dataset(d: Dataset, spec: PartitionSpec) -> list[ClientSplit]:
-    """Dispatch to partition_iid or partition_shards per the PartitionSpec."""
-    if spec.mode == "iid":
-        return partition_iid(d, spec.n_clients, spec.seed)
-    return partition_shards(d, spec.n_clients, spec.shards_per_client, spec.seed)
 
 
 def label_distribution(d: Dataset, split: ClientSplit) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -14,11 +14,9 @@ from .seeds import LOCAL_STREAM, SeedKey, derive
 from .training import HyperParams, train_cohort
 
 __all__ = [
-    "ExperimentSummary",
     "accuracy",
     "centralized_baseline",
     "centralized_train",
-    "run_experiment_suite",
     "summarize_accuracies",
 ]
 
@@ -81,41 +79,3 @@ def summarize_accuracies(values: Sequence[float]) -> tuple[float, float]:
     mean = statistics.fmean(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
     return mean, std
-
-
-@dataclass(frozen=True)
-class ExperimentSummary:
-    """Final-round accuracy per seed, with mean/std and the config fingerprint."""
-
-    seeds: tuple[int, ...]
-    accuracies: tuple[float, ...]
-    mean: float
-    std: float
-    config_fingerprint: str
-
-
-def run_experiment_suite(cfg, seeds: Sequence[int]) -> ExperimentSummary:
-    """Run the same config once per seed and summarize final-round accuracy.
-
-    Each run replaces only the seed, so datasets, partitions, selection, and
-    shuffles are all redrawn per seed while every other setting is shared.
-    """
-    seed_list = [int(s) for s in seeds]
-    if not seed_list:
-        raise ValueError("seeds must be non-empty")
-    if len(set(seed_list)) != len(seed_list):
-        raise ValueError(f"seeds must be distinct, got {seed_list}")
-    from .config import config_fingerprint
-    from .federation import run_federation  # deferred: federation imports this module
-
-    accs = [
-        run_federation(replace(cfg, seed=s)).final_accuracy for s in seed_list
-    ]
-    mean, std = summarize_accuracies(accs)
-    return ExperimentSummary(
-        seeds=tuple(seed_list),
-        accuracies=tuple(accs),
-        mean=mean,
-        std=std,
-        config_fingerprint=config_fingerprint(cfg),
-    )

@@ -23,7 +23,7 @@ from .data import (
     synthetic_train_test,
 )
 from .evaluation import accuracy
-from .model import ParamVector, axpy_combine
+from .model import ParamVector
 from .seeds import (
     DATA_STREAM,
     LOCAL_STREAM,
@@ -96,18 +96,30 @@ def aggregate(
     """Average client parameters.
 
     "datasize" weighs update i by n_i / sum(n); "uniform" by 1/m.  The sum is
-    accumulated in the order the updates are given.
+    accumulated left to right, in the order the updates are given.
     """
     if not updates:
         raise ValueError("updates must be non-empty")
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    first = updates[0].params
+    for u in updates[1:]:
+        if u.params.weights.shape != first.weights.shape:
+            raise ValueError(
+                f"parameter shapes differ: {u.params.weights.shape} vs "
+                f"{first.weights.shape}"
+            )
     if weighting == "datasize":
         total = sum(u.n_samples for u in updates)
         coeffs = [u.n_samples / total for u in updates]
     else:
         coeffs = [1.0 / len(updates)] * len(updates)
-    return axpy_combine(coeffs, [u.params for u in updates])
+    w = coeffs[0] * first.weights
+    b = coeffs[0] * first.bias
+    for c, u in zip(coeffs[1:], updates[1:]):
+        w += c * u.params.weights
+        b += c * u.params.bias
+    return ParamVector(w, b)
 
 
 def run_round(

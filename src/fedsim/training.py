@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ClientSplit, Dataset
-from .model import Batch, ParamVector, _loss_grad_arrays, cross_entropy_loss
+from .model import ParamVector, loss_grad
 from .seeds import SeedKey, derive, key_rng
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "DivergenceError",
     "HyperParams",
     "LocalUpdate",
-    "local_objective",
-    "proximal_penalty",
     "train_cohort",
 ]
 
@@ -76,31 +74,8 @@ class LocalUpdate:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
-def proximal_penalty(w: ParamVector, w_g: ParamVector, mu: float) -> float:
-    """(mu/2) * squared l2 distance between w and the anchor, bias included."""
-    if not np.isfinite(mu) or mu < 0:
-        raise ValueError(f"mu must be >= 0 and finite, got {mu}")
-    if w.weights.shape != w_g.weights.shape:
-        raise ValueError(
-            f"parameter shapes differ: {w.weights.shape} vs {w_g.weights.shape}"
-        )
-    dw = w.weights - w_g.weights
-    db = w.bias - w_g.bias
-    return 0.5 * mu * float((dw * dw).sum() + (db * db).sum())
-
-
-def local_objective(
-    w: ParamVector, w_g: ParamVector, batch: Batch, h: HyperParams
-) -> float:
-    """Cross-entropy on the batch, plus the proximal penalty under fedprox."""
-    loss = cross_entropy_loss(w, batch)
-    if h.objective == "fedprox":
-        loss += proximal_penalty(w, w_g, h.mu)
-    return loss
-
-
 class DivergenceError(ValueError):
-    """Local SGD hit an overflow or an invalid value (inf or nan)."""
+    """Local SGD overflowed, hit an invalid value, or left no float headroom."""
 
 
 def _check_cohort(
@@ -169,9 +144,10 @@ def train_cohort(
     At each step, the clients whose batches have the same length go through
     the kernel as one stack, so each client's matmuls and reductions keep the
     shapes they have when it trains alone: a client's update is bit-identical
-    whichever clients share its cohort.  An overflow or invalid value raises
-    DivergenceError naming the first client, in the given order, whose
-    training diverges on its own.
+    whichever clients share its cohort.  An overflow or invalid value, or a
+    squared update norm ``||w_i - w_g||^2`` that overflows at the end of an
+    epoch, raises DivergenceError naming the first client, in the given
+    order, whose training diverges on its own.
     """
     _check_cohort(w_g, data, splits, seeds)
     # Largest clients first, so that each step's groups are slices.
@@ -198,7 +174,7 @@ def train_cohort(
                     for lo, hi, length in groups:
                         idx = orders[lo:hi, start : start + length]
                         wg, bg = w[lo:hi], b[lo:hi]
-                        loss, gw, gb = _loss_grad_arrays(
+                        loss, gw, gb = loss_grad(
                             wg, bg, data.features[idx], data.labels[idx], record
                         )
                         if use_prox:
@@ -215,6 +191,12 @@ def train_cohort(
                             losses[lo:hi, step] = loss
                         wg -= lr * gw
                         bg -= lr * gb
+                # A saturated softmax can give zero loss and no overflow while
+                # the weights run off toward the float limit.  Each client's
+                # squared update norm is computed only for the overflow it
+                # raises then.
+                dw, db = w - w_g.weights, b - w_g.bias
+                (dw * dw).reshape(len(rank), -1).sum(axis=1) + (db * db).sum(axis=1)
     except FloatingPointError:
         if len(splits) > 1:  # name the first client that diverges alone
             for split, seed in zip(splits, seeds):

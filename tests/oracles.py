@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from fedsim.model import Batch, ParamVector, cross_entropy_loss
+from fedsim.model import ParamVector, loss_grad
 
 
 def rand_params(rng: np.random.Generator, n_classes: int, feature_dim: int) -> ParamVector:
@@ -23,11 +23,18 @@ def rand_params(rng: np.random.Generator, n_classes: int, feature_dim: int) -> P
 
 def rand_batch(
     rng: np.random.Generator, n_samples: int, n_classes: int, feature_dim: int
-) -> Batch:
-    return Batch(
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows and integer labels of a random mini-batch."""
+    return (
         rng.normal(size=(n_samples, feature_dim)),
         rng.integers(0, n_classes, size=n_samples),
     )
+
+
+def kernel(params: ParamVector, x: np.ndarray, y: np.ndarray) -> tuple[float, ParamVector]:
+    """The code under test, not an oracle: model.loss_grad's loss and gradient."""
+    loss, gw, gb = loss_grad(params.weights, params.bias, x, y)
+    return float(loss), ParamVector(gw, gb)
 
 
 def scalar_logits(params: ParamVector, x_row: np.ndarray) -> list[float]:
@@ -39,18 +46,20 @@ def scalar_logits(params: ParamVector, x_row: np.ndarray) -> list[float]:
     ]
 
 
-def scalar_cross_entropy(params: ParamVector, batch: Batch) -> float:
+def scalar_cross_entropy(params: ParamVector, x: np.ndarray, y: np.ndarray) -> float:
     """Mean negative log-likelihood via per-sample log-sum-exp in pure Python."""
     total = 0.0
-    for i in range(batch.n_samples):
-        z = scalar_logits(params, batch.features[i])
+    for i in range(len(y)):
+        z = scalar_logits(params, x[i])
         m = max(z)
         lse = m + math.log(sum(math.exp(v - m) for v in z))
-        total += lse - z[int(batch.labels[i])]
-    return total / batch.n_samples
+        total += lse - z[int(y[i])]
+    return total / len(y)
 
 
-def fd_gradient(params: ParamVector, batch: Batch, step: float = 1e-5) -> ParamVector:
+def fd_gradient(
+    params: ParamVector, x: np.ndarray, y: np.ndarray, step: float = 1e-5
+) -> ParamVector:
     """Central-difference gradient of the cross-entropy, coordinate by coordinate.
 
     The default step sits near the central-difference optimum (3*eps)**(1/3)
@@ -59,7 +68,7 @@ def fd_gradient(params: ParamVector, batch: Batch, step: float = 1e-5) -> ParamV
     """
 
     def loss_at(w: np.ndarray, b: np.ndarray) -> float:
-        return cross_entropy_loss(ParamVector(w, b), batch)
+        return kernel(ParamVector(w, b), x, y)[0]
 
     gw = np.zeros_like(params.weights)
     gb = np.zeros_like(params.bias)
@@ -90,19 +99,6 @@ def max_rel_err(analytic: ParamVector, numeric: ParamVector, floor: float = 1e-8
         [np.abs(analytic.weights).ravel(), np.abs(analytic.bias).ravel()]
     )
     return float((diff / np.maximum(scale, floor)).max())
-
-
-def scalar_combine(coeffs, param_list) -> ParamVector:
-    """Left-to-right linear combination with per-coordinate Python floats."""
-    n_classes, feature_dim = param_list[0].weights.shape
-    w = [[0.0] * feature_dim for _ in range(n_classes)]
-    b = [0.0] * n_classes
-    for coef, p in zip(coeffs, param_list):
-        for c in range(n_classes):
-            for j in range(feature_dim):
-                w[c][j] += float(coef) * float(p.weights[c, j])
-            b[c] += float(coef) * float(p.bias[c])
-    return ParamVector(np.array(w), np.array(b))
 
 
 def scalar_weighted_mean(updates, weighting: str) -> ParamVector:

@@ -120,6 +120,28 @@ def test_run_divergence_is_one_error_line(tmp_path, capsys, method):
     assert not out.exists()
 
 
+def test_run_saturation_without_overflow_is_divergence(tmp_path, capsys):
+    # On well-separated data a huge step saturates the softmax: every loss is
+    # exactly 0 and no logit overflows, but the weights leave no float
+    # headroom.  The squared update norm overflows and names the run diverged.
+    cfg_path = tmp_path / "saturate.cfg"
+    cfg_path.write_text(TINY + "learning_rate = 1e307\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    m = re.fullmatch(
+        r"error: round 0, client (\d+), epoch \d+: local training diverged", lines[0]
+    )
+    assert m and int(m[1]) in select_clients(4, 0.5, 0, 0)
+    assert not out.exists()
+
+
 def test_main_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1

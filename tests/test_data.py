@@ -6,14 +6,12 @@ import pytest
 from fedsim.data import (
     ClientSplit,
     Dataset,
-    PartitionSpec,
     allocate_shards,
     format_float,
     generate_synthetic,
     label_distribution,
     load_dataset,
     load_partition,
-    partition_dataset,
     partition_iid,
     partition_shards,
     partition_shards_detailed,
@@ -230,22 +228,6 @@ def test_partition_shards_errors():
     d3 = generate_synthetic(30, 3, 4, 3.0, 1)
     with pytest.raises(ValueError, match="at least one shard per class"):
         partition_shards(d3, 2, 1, 0)
-
-
-def test_partition_dataset_dispatch():
-    d = generate_synthetic(120, 4, 8, 3.0, 9)
-    iid = partition_dataset(d, PartitionSpec("iid", 6, seed=4))
-    assert len(iid) == 6
-    assert all(s.n_samples == 20 for s in iid)
-    sharded = partition_dataset(d, PartitionSpec("shards", 6, 2, seed=4))
-    for s in sharded:
-        assert len({int(v) for v in d.labels[s.indices]}) <= 2
-    with pytest.raises(ValueError, match="mode"):
-        PartitionSpec("random", 4)
-    with pytest.raises(ValueError, match="n_clients"):
-        PartitionSpec("iid", 0)
-    with pytest.raises(ValueError, match="shards_per_client"):
-        PartitionSpec("shards", 4, 0)
 
 
 def test_label_distribution_counts():

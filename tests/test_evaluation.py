@@ -6,13 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim.config import ExperimentConfig, SyntheticData, config_fingerprint
+from fedsim.config import ExperimentConfig, SyntheticData
 from fedsim.data import ClientSplit, Dataset, generate_synthetic, synthetic_train_test
 from fedsim.evaluation import (
     accuracy,
     centralized_baseline,
     centralized_train,
-    run_experiment_suite,
     summarize_accuracies,
 )
 from fedsim.federation import run_federation
@@ -112,31 +111,3 @@ def test_summarize_accuracies_edge_cases():
     assert (mean, std) == (0.7, 0.0)
     with pytest.raises(ValueError, match="non-empty"):
         summarize_accuracies([])
-
-
-def test_run_experiment_suite_matches_individual_runs():
-    cfg = ExperimentConfig(
-        rounds=2,
-        n_clients=4,
-        batch_size=16,
-        dataset=SyntheticData(n_samples=200, n_classes=4, feature_dim=8),
-    )
-    summary = run_experiment_suite(cfg, [0, 1])
-    assert summary.seeds == (0, 1)
-    singles = tuple(
-        run_federation(replace(cfg, seed=s)).final_accuracy for s in (0, 1)
-    )
-    assert summary.accuracies == singles
-    mean, std = summarize_accuracies(singles)
-    assert (summary.mean, summary.std) == (mean, std)
-    assert summary.config_fingerprint == config_fingerprint(cfg)
-
-
-def test_run_experiment_suite_rejects_bad_seed_lists():
-    cfg = ExperimentConfig(
-        rounds=1, n_clients=2, dataset=SyntheticData(n_samples=100)
-    )
-    with pytest.raises(ValueError, match="distinct"):
-        run_experiment_suite(cfg, [1, 1])
-    with pytest.raises(ValueError, match="non-empty"):
-        run_experiment_suite(cfg, [])

@@ -134,6 +134,12 @@ def test_aggregate_errors():
         aggregate([], "datasize")
     with pytest.raises(ValueError, match="weighting"):
         aggregate([LocalUpdate(rand_params(rng, 2, 3), 1, 0.0)], "mean")
+    mixed = [
+        LocalUpdate(rand_params(rng, 2, 3), 1, 0.0),
+        LocalUpdate(rand_params(rng, 2, 4), 1, 0.0),
+    ]
+    with pytest.raises(ValueError, match="shapes differ"):
+        aggregate(mixed, "uniform")
 
 
 def prepared(cfg):

@@ -1,30 +1,19 @@
-"""Parameter containers, softmax numerics, loss/gradient oracles, combination."""
+"""Parameter containers and the loss/gradient kernel against scalar oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fedsim.model import (
-    Batch,
-    ParamVector,
-    axpy_combine,
-    cross_entropy_loss,
-    forward_logits,
-    grad_cross_entropy,
-    loss_and_grad,
-    params_equal,
-    softmax,
-)
+from fedsim.model import ParamVector, loss_grad, params_equal
 from oracles import (
     fd_gradient,
+    kernel,
     max_abs_diff,
     max_rel_err,
     rand_batch,
     rand_params,
-    scalar_combine,
     scalar_cross_entropy,
-    scalar_logits,
 )
 
 
@@ -57,7 +46,6 @@ def test_param_vector_zeros_and_sizes():
     p = ParamVector.zeros(3, 5)
     assert p.n_classes == 3
     assert p.feature_dim == 5
-    assert p.n_coords == 3 * 5 + 3
     assert not p.weights.any() and not p.bias.any()
     with pytest.raises(ValueError):
         ParamVector.zeros(0, 5)
@@ -74,88 +62,48 @@ def test_params_equal_exact():
     assert not params_equal(a, ParamVector([[1.0, 2.0], [0.0, 0.0]], [3.0, 0.0]))
 
 
-def test_batch_validation():
-    with pytest.raises(ValueError, match="2-D"):
-        Batch(np.zeros(4), np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="at least one sample"):
-        Batch(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
-    with pytest.raises(ValueError, match="integers"):
-        Batch(np.zeros((2, 3)), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="does not match"):
-        Batch(np.zeros((2, 3)), np.array([0, 1, 0]))
-    with pytest.raises(ValueError, match="non-negative"):
-        Batch(np.zeros((2, 3)), np.array([0, -1]))
-    b = Batch(np.zeros((2, 3)), np.array([1, 0]))
-    assert b.n_samples == 2
-
-
-def test_forward_logits_matches_scalar_loop():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        p = rand_params(rng, 3, 5)
-        x = rng.normal(size=(4, 5))
-        out = forward_logits(p, x)
-        assert out.shape == (4, 3)
-        for i in range(4):
-            want = scalar_logits(p, x[i])
-            assert out[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-def test_forward_logits_single_vector_matches_matrix_row():
-    rng = np.random.default_rng(8)
-    p = rand_params(rng, 4, 6)
-    x = rng.normal(size=(3, 6))
-    full = forward_logits(p, x)
-    one = forward_logits(p, x[1])
-    assert one.shape == (4,)
-    # Vector and matrix products may reduce in different orders.
-    assert one == pytest.approx(full[1], rel=1e-14, abs=1e-14)
-
-
-def test_forward_logits_rejects_wrong_feature_length():
-    p = ParamVector.zeros(2, 4)
-    with pytest.raises(ValueError, match="feature length"):
-        forward_logits(p, np.zeros((3, 5)))
-
-
-def test_softmax_rows_sum_to_one_and_shift_invariance():
-    rng = np.random.default_rng(9)
-    z = rng.normal(size=(6, 4)) * 10
-    p = softmax(z)
-    assert p.shape == z.shape
-    assert (p > 0).all()
-    assert p.sum(axis=-1) == pytest.approx(np.ones(6), abs=1e-12)
-    shifted = softmax(z + 123.456)
-    assert np.abs(p - shifted).max() < 1e-12
-
-
 def test_softmax_known_two_class_values():
-    p = softmax(np.array([math.log(2.0), 0.0]))
-    assert p[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert p[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    # Logits (log 2, 0) give probabilities (2/3, 1/3).
+    p = ParamVector(np.zeros((2, 3)), [math.log(2.0), 0.0])
+    loss, grad = kernel(p, np.ones((1, 3)), np.array([0]))
+    assert loss == pytest.approx(math.log(1.5), abs=1e-15)
+    assert grad.bias == pytest.approx([-1.0 / 3.0, 1.0 / 3.0], abs=1e-15)
 
 
 def test_softmax_handles_large_logits():
-    p = softmax(np.array([1000.0, 0.0]))
-    assert np.isfinite(p).all()
-    assert p[0] == pytest.approx(1.0, abs=1e-12)
-    assert p[1] == pytest.approx(0.0, abs=1e-12)
+    # Logits 1000 apart overflow a naive exp; the max-subtracted pass does not.
+    p = ParamVector([[1000.0], [0.0]], [0.0, 0.0])
+    x = np.ones((1, 1))
+    with np.errstate(over="raise", invalid="raise"):
+        right, right_grad = kernel(p, x, np.array([0]))
+        wrong, wrong_grad = kernel(p, x, np.array([1]))
+    assert right == pytest.approx(0.0, abs=1e-12)
+    assert max(np.abs(right_grad.weights).max(), np.abs(right_grad.bias).max()) < 1e-12
+    assert wrong == pytest.approx(1000.0, rel=1e-12)
+    assert wrong_grad.bias == pytest.approx([1.0, -1.0], abs=1e-12)
 
 
-def test_softmax_rejects_empty_and_nonfinite():
-    with pytest.raises(ValueError, match="non-empty"):
-        softmax(np.zeros(0))
-    with pytest.raises(ValueError, match="finite"):
-        softmax(np.array([1.0, np.inf]))
+def test_softmax_rows_sum_to_one_and_shift_invariance():
+    # Probabilities sum to one, so the bias gradient, the batch mean of
+    # p - onehot(y), sums to zero.  Adding a constant to every logit changes
+    # neither the loss nor the gradient.
+    rng = np.random.default_rng(9)
+    p = ParamVector(rng.normal(size=(4, 3)) * 10, rng.normal(size=4) * 10)
+    x, y = rand_batch(rng, 6, 4, 3)
+    loss, grad = kernel(p, x, y)
+    assert grad.bias.sum() == pytest.approx(0.0, abs=1e-12)
+    shifted_loss, shifted_grad = kernel(ParamVector(p.weights, p.bias + 123.456), x, y)
+    assert shifted_loss == pytest.approx(loss, abs=1e-12)
+    assert max_abs_diff(grad, shifted_grad) < 1e-12
 
 
 def test_zero_params_loss_is_log_n_classes():
     # Uniform predictions: every sample contributes exactly log(n_classes).
     p = ParamVector.zeros(4, 6)
-    one = Batch(np.random.default_rng(1).normal(size=(1, 6)), np.array([2]))
-    assert cross_entropy_loss(p, one) == math.log(4.0)
-    four = Batch(np.random.default_rng(2).normal(size=(4, 6)), np.array([0, 1, 2, 3]))
-    assert cross_entropy_loss(p, four) == math.log(4.0)
+    one = np.random.default_rng(1).normal(size=(1, 6))
+    assert kernel(p, one, np.array([2]))[0] == math.log(4.0)
+    four = np.random.default_rng(2).normal(size=(4, 6))
+    assert kernel(p, four, np.array([0, 1, 2, 3]))[0] == math.log(4.0)
 
 
 def test_cross_entropy_matches_scalar_loop():
@@ -165,18 +113,10 @@ def test_cross_entropy_matches_scalar_loop():
         dim = int(rng.integers(n_classes, 8))
         n = int(rng.integers(1, 9))
         p = rand_params(rng, n_classes, dim)
-        b = rand_batch(rng, n, n_classes, dim)
-        got = cross_entropy_loss(p, b)
+        x, y = rand_batch(rng, n, n_classes, dim)
+        got = kernel(p, x, y)[0]
         assert got >= 0.0
-        assert got == pytest.approx(scalar_cross_entropy(p, b), rel=1e-12, abs=1e-12)
-
-
-def test_cross_entropy_rejects_mismatches():
-    p = ParamVector.zeros(2, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        cross_entropy_loss(p, Batch(np.zeros((2, 3)), np.array([0, 2])))
-    with pytest.raises(ValueError, match="feature length"):
-        cross_entropy_loss(p, Batch(np.zeros((2, 4)), np.array([0, 1])))
+        assert got == pytest.approx(scalar_cross_entropy(p, x, y), rel=1e-12, abs=1e-12)
 
 
 def test_gradient_matches_finite_differences():
@@ -185,67 +125,28 @@ def test_gradient_matches_finite_differences():
         n_classes = int(rng.integers(2, 5))
         dim = int(rng.integers(n_classes, 8))
         p = rand_params(rng, n_classes, dim)
-        b = rand_batch(rng, int(rng.integers(1, 12)), n_classes, dim)
-        g = grad_cross_entropy(p, b)
-        assert max_rel_err(g, fd_gradient(p, b)) < 1e-5
+        x, y = rand_batch(rng, int(rng.integers(1, 12)), n_classes, dim)
+        assert max_rel_err(kernel(p, x, y)[1], fd_gradient(p, x, y)) < 1e-5
 
 
 def test_gradient_uses_batch_mean():
-    # Duplicating every sample must leave the mean gradient unchanged.
+    # Duplicating every sample must leave the mean loss and gradient unchanged.
     rng = np.random.default_rng(5)
     p = rand_params(rng, 3, 4)
-    b = rand_batch(rng, 6, 3, 4)
-    doubled = Batch(
-        np.vstack([b.features, b.features]),
-        np.concatenate([b.labels, b.labels]),
-    )
-    assert max_abs_diff(grad_cross_entropy(p, b), grad_cross_entropy(p, doubled)) < 1e-12
-    assert cross_entropy_loss(p, b) == pytest.approx(
-        cross_entropy_loss(p, doubled), rel=1e-12
-    )
+    x, y = rand_batch(rng, 6, 3, 4)
+    loss, grad = kernel(p, x, y)
+    loss2, grad2 = kernel(p, np.vstack([x, x]), np.concatenate([y, y]))
+    assert max_abs_diff(grad, grad2) < 1e-12
+    assert loss == pytest.approx(loss2, rel=1e-12)
 
 
 def test_loss_and_grad_consistent_with_parts():
+    # Training skips the loss outside its last epoch; the gradient must not
+    # depend on whether the loss is taken.
     rng = np.random.default_rng(6)
     p = rand_params(rng, 3, 5)
-    b = rand_batch(rng, 7, 3, 5)
-    loss, grad = loss_and_grad(p, b)
-    assert loss == cross_entropy_loss(p, b)
-    assert params_equal(grad, grad_cross_entropy(p, b))
-
-
-def test_axpy_single_identity():
-    rng = np.random.default_rng(10)
-    p = rand_params(rng, 3, 4)
-    assert params_equal(axpy_combine([1.0], [p]), p)
-
-
-def test_axpy_matches_scalar_loop():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        k = int(rng.integers(1, 8))
-        plist = [rand_params(rng, 3, 4) for _ in range(k)]
-        coeffs = rng.normal(size=k)
-        got = axpy_combine(coeffs, plist)
-        assert max_abs_diff(got, scalar_combine(coeffs, plist)) < 1e-12
-
-
-def test_axpy_permutation_stable_within_tolerance():
-    rng = np.random.default_rng(12)
-    plist = [rand_params(rng, 4, 5) for _ in range(6)]
-    coeffs = list(rng.uniform(0.0, 1.0, size=6))
-    base = axpy_combine(coeffs, plist)
-    perm = rng.permutation(6)
-    shuffled = axpy_combine([coeffs[i] for i in perm], [plist[i] for i in perm])
-    assert max_abs_diff(base, shuffled) < 1e-12
-
-
-def test_axpy_validation_errors():
-    rng = np.random.default_rng(13)
-    p = rand_params(rng, 2, 3)
-    with pytest.raises(ValueError, match="non-empty"):
-        axpy_combine([], [])
-    with pytest.raises(ValueError, match="coefficients"):
-        axpy_combine([1.0, 2.0], [p])
-    with pytest.raises(ValueError, match="shapes differ"):
-        axpy_combine([0.5, 0.5], [p, rand_params(rng, 2, 4)])
+    x, y = rand_batch(rng, 7, 3, 5)
+    _, gw, gb = loss_grad(p.weights, p.bias, x, y)
+    no_loss, gw_only, gb_only = loss_grad(p.weights, p.bias, x, y, with_loss=False)
+    assert no_loss is None
+    assert np.array_equal(gw, gw_only) and np.array_equal(gb, gb_only)

@@ -7,22 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.data import ClientSplit, Dataset, generate_synthetic
-from fedsim.model import (
-    Batch,
-    ParamVector,
-    cross_entropy_loss,
-    grad_cross_entropy,
-    params_equal,
-)
+from fedsim.model import ParamVector, loss_grad, params_equal
 from fedsim.seeds import derive, key_rng
-from fedsim.training import (
-    DivergenceError,
-    HyperParams,
-    LocalUpdate,
-    local_objective,
-    proximal_penalty,
-    train_cohort,
-)
+from fedsim.training import DivergenceError, HyperParams, LocalUpdate, train_cohort
 
 
 def small_problem(seed=0, n=40, n_classes=3, dim=5):
@@ -68,45 +55,34 @@ def test_local_update_requires_positive_samples():
 
 
 def test_proximal_penalty_closed_form():
-    w = ParamVector(np.ones((2, 3)), np.ones(2))
-    anchor = ParamVector.zeros(2, 3)
-    # 8 unit-distance coordinates: (mu / 2) * 8 = 0.8 at mu = 0.2.
-    assert proximal_penalty(w, anchor, 0.2) == pytest.approx(0.8, abs=1e-15)
-    assert proximal_penalty(w, w, 0.2) == 0.0
-    assert proximal_penalty(anchor, w, 0.2) == pytest.approx(0.8, abs=1e-15)
-
-
-def test_proximal_penalty_scales_quadratically():
-    rng = np.random.default_rng(1)
-    anchor = ParamVector(rng.normal(size=(2, 4)), rng.normal(size=2))
-    step = ParamVector(rng.normal(size=(2, 4)), rng.normal(size=2))
-    one = ParamVector(anchor.weights + step.weights, anchor.bias + step.bias)
-    two = ParamVector(anchor.weights + 2 * step.weights, anchor.bias + 2 * step.bias)
-    assert proximal_penalty(two, anchor, 0.5) == pytest.approx(
-        4 * proximal_penalty(one, anchor, 0.5), rel=1e-12
+    # Two full-batch epochs.  The proximal gradient vanishes at the anchor, so
+    # the first step is w1 = w_g - lr * g with g the cross-entropy gradient at
+    # w_g, and the last epoch reports CE(w1) + (mu/2) * lr^2 * ||g||^2.
+    d, split, w0 = small_problem(seed=3, n=24)
+    h = HyperParams(
+        learning_rate=0.05, batch_size=24, local_epochs=2, mu=5.0, objective="fedprox"
     )
-
-
-def test_proximal_penalty_validation():
-    p = ParamVector.zeros(2, 3)
-    with pytest.raises(ValueError, match="mu"):
-        proximal_penalty(p, p, -0.5)
-    with pytest.raises(ValueError, match="shapes differ"):
-        proximal_penalty(p, ParamVector.zeros(2, 4), 0.5)
+    upd = local_train(w0, d, split, h, 11)
+    _, gw, gb = loss_grad(w0.weights, w0.bias, d.features, d.labels)
+    w1, b1 = w0.weights - 0.05 * gw, w0.bias - 0.05 * gb
+    ce1 = float(loss_grad(w1, b1, d.features, d.labels)[0])
+    penalty = 0.5 * 5.0 * 0.05**2 * float((gw * gw).sum() + (gb * gb).sum())
+    assert penalty > 1e-3
+    assert upd.mean_final_epoch_loss == pytest.approx(ce1 + penalty, rel=1e-12)
 
 
 def test_local_objective_adds_penalty_only_for_fedprox():
-    rng = np.random.default_rng(2)
-    w = ParamVector(rng.normal(size=(3, 4)), rng.normal(size=3))
-    anchor = ParamVector.zeros(3, 4)
-    batch = Batch(rng.normal(size=(6, 4)), rng.integers(0, 3, size=6))
-    ce = cross_entropy_loss(w, batch)
-    avg = local_objective(w, anchor, batch, HyperParams(objective="fedavg", mu=5.0))
-    prox = local_objective(w, anchor, batch, HyperParams(objective="fedprox", mu=5.0))
-    zero = local_objective(w, anchor, batch, HyperParams(objective="fedprox", mu=0.0))
-    assert avg == ce
-    assert prox == ce + proximal_penalty(w, anchor, 5.0)
-    assert zero == ce
+    # mu acts only under fedprox: fedavg at mu = 5 is bit-identical to mu = 0.
+    d, split, w0 = small_problem(seed=2)
+
+    def run(objective, mu):
+        h = HyperParams(batch_size=8, mu=mu, objective=objective)
+        return local_train(w0, d, split, h, 0)
+
+    plain, ignored = run("fedavg", 0.0), run("fedavg", 5.0)
+    assert params_equal(plain.params, ignored.params)
+    assert plain.mean_final_epoch_loss == ignored.mean_final_epoch_loss
+    assert run("fedprox", 5.0).mean_final_epoch_loss != plain.mean_final_epoch_loss
 
 
 def test_local_train_zero_learning_rate_is_identity():
@@ -123,15 +99,14 @@ def test_local_train_single_batch_step_is_gradient_descent():
     h = HyperParams(learning_rate=0.05, batch_size=24, local_epochs=1)
     upd = local_train(w0, d, split, h, 11)
     order = key_rng(derive(11, 0)).permutation(split.indices)
-    batch = Batch(d.features[order], d.labels[order])
-    g = grad_cross_entropy(w0, batch)
-    assert np.array_equal(upd.params.weights, w0.weights - 0.05 * g.weights)
-    assert np.array_equal(upd.params.bias, w0.bias - 0.05 * g.bias)
-    assert upd.mean_final_epoch_loss == cross_entropy_loss(w0, batch)
+    loss, gw, gb = loss_grad(w0.weights, w0.bias, d.features[order], d.labels[order])
+    assert np.array_equal(upd.params.weights, w0.weights - 0.05 * gw)
+    assert np.array_equal(upd.params.bias, w0.bias - 0.05 * gb)
+    assert upd.mean_final_epoch_loss == float(loss)
 
 
 def sgd_reference(w_g, data, split, h, seed):
-    """Reimplementation of the local loop through public ops only."""
+    """Reimplementation of the local loop, one client and one batch at a time."""
     w = w_g.weights.copy()
     b = w_g.bias.copy()
     last = []
@@ -139,16 +114,14 @@ def sgd_reference(w_g, data, split, h, seed):
         order = key_rng(derive(seed, epoch)).permutation(split.indices)
         for start in range(0, order.size, h.batch_size):
             sel = order[start : start + h.batch_size]
-            batch = Batch(data.features[sel], data.labels[sel])
-            cur = ParamVector(w, b)
-            g = grad_cross_entropy(cur, batch)
-            gw, gb = g.weights.copy(), g.bias.copy()
-            loss = cross_entropy_loss(cur, batch)
+            loss, gw, gb = loss_grad(w, b, data.features[sel], data.labels[sel])
+            loss = float(loss)
             if h.objective == "fedprox" and h.mu != 0.0:
-                gw += h.mu * (w - w_g.weights)
-                gb += h.mu * (b - w_g.bias)
+                dw, db = w - w_g.weights, b - w_g.bias
+                gw += h.mu * dw
+                gb += h.mu * db
                 if epoch == h.local_epochs - 1:
-                    loss += proximal_penalty(cur, w_g, h.mu)
+                    loss += 0.5 * h.mu * float((dw * dw).sum() + (db * db).sum())
             if epoch == h.local_epochs - 1:
                 last.append(loss)
             w -= h.learning_rate * gw
@@ -281,8 +254,9 @@ def test_cohort_update_is_bit_identical_to_training_alone(
 
 
 def test_divergence_names_the_first_diverging_client_and_epoch():
-    # Client 0 sits on well-scaled rows; clients 1-3 on rows scaled by 1e300,
-    # whose first step leaves weights that overflow the next logits.
+    # Client 0 sits on well-scaled rows; clients 1-3 on rows scaled by 1e300.
+    # A first step at learning rate 1e-290 leaves weights near 1e10, whose
+    # squared norm is far from overflow but whose next logits overflow.
     base = generate_synthetic(30, 2, 3, 3.0, 0)
     features = base.features.copy()
     features[10:] *= 1e300
@@ -290,7 +264,7 @@ def test_divergence_names_the_first_diverging_client_and_epoch():
     w0 = ParamVector.zeros(2, 3)
     calm, wild, wilder = (ClientSplit(c, np.arange(10 * c, 10 * c + 10)) for c in range(3))
     short = ClientSplit(3, np.arange(20, 25))  # one step per epoch
-    h = HyperParams(learning_rate=0.1, batch_size=5, local_epochs=2)
+    h = HyperParams(learning_rate=1e-290, batch_size=5, local_epochs=2)
     local_train(w0, d, calm, h, 0)
     cases = [
         ([calm, wild], "client 1, epoch 0"),
@@ -301,3 +275,8 @@ def test_divergence_names_the_first_diverging_client_and_epoch():
         with pytest.raises(DivergenceError) as info:
             train_cohort(w0, d, splits, h, list(range(len(splits))))
         assert str(info.value) == f"{where}: local training diverged"
+    # A huge step on the well-scaled rows saturates the softmax: zero loss and
+    # no overflow, but weights near 1e307 whose squared norm overflows.
+    saturating = HyperParams(learning_rate=1e307, batch_size=5, local_epochs=2)
+    with pytest.raises(DivergenceError, match="^client 0, epoch 0: "):
+        train_cohort(w0, d, [calm], saturating, [0])
