@@ -15,7 +15,6 @@ from fedsim import (
     HyperParams,
     ParamVector,
     generate_synthetic,
-    params_equal,
     partition_shards,
     train_cohort,
 )
@@ -24,6 +23,10 @@ from fedsim import (
 def train_alone(anchor, data, split, h, seed):
     (update,) = train_cohort(anchor, data, [split], h, [seed])
     return update
+
+
+def bit_identical(a: ParamVector, b: ParamVector) -> bool:
+    return np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
 
 def drift(update, anchor: ParamVector) -> float:
@@ -76,7 +79,7 @@ def main() -> None:
     )
     update_zero = train_alone(anchor, data, split, zero, seed=0)
     print("\nfedprox(mu=0) bit-identical to fedavg:",
-          params_equal(update_zero.params, update.params))
+          bit_identical(update_zero.params, update.params))
 
     # The penalty itself, measured at the fedavg endpoint.
     print("penalty (mu/2)*||w - w_g||^2 at the fedavg endpoint, mu = 1:",
@@ -86,7 +89,7 @@ def main() -> None:
     # bit-identical to that client's solo run, whatever its cohort.
     cohort = train_cohort(anchor, data, splits, plain, seeds=[0, 1, 2, 3])
     same = all(
-        params_equal(u.params, train_alone(anchor, data, s, plain, seed=i).params)
+        bit_identical(u.params, train_alone(anchor, data, s, plain, seed=i).params)
         for i, (s, u) in enumerate(zip(splits, cohort))
     )
     print("4-client cohort bit-identical to 4 solo runs:", same)

@@ -23,14 +23,13 @@ from .data import (
     generate_synthetic,
     label_distribution,
     load_dataset,
-    load_partition,
     partition_iid,
     partition_shards,
     save_dataset,
     save_partition,
     synthetic_train_test,
 )
-from .evaluation import accuracy, centralized_baseline, centralized_train
+from .evaluation import accuracy, centralized_train
 from .federation import (
     ExperimentData,
     FederationResult,
@@ -39,10 +38,9 @@ from .federation import (
     aggregate,
     prepare_experiment,
     run_federation,
-    run_round,
     select_clients,
 )
-from .model import ParamVector, params_equal
+from .model import ParamVector
 from .training import HyperParams, LocalUpdate, train_cohort
 
 __version__ = "0.1.0"
@@ -63,21 +61,17 @@ __all__ = [
     "SyntheticData",
     "accuracy",
     "aggregate",
-    "centralized_baseline",
     "centralized_train",
     "config_fingerprint",
     "generate_synthetic",
     "label_distribution",
     "load_config",
     "load_dataset",
-    "load_partition",
-    "params_equal",
     "parse_config",
     "partition_iid",
     "partition_shards",
     "prepare_experiment",
     "run_federation",
-    "run_round",
     "save_dataset",
     "save_partition",
     "select_clients",

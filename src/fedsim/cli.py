@@ -18,18 +18,16 @@ from typing import Callable, Sequence
 from .config import (
     ConfigError,
     ExperimentConfig,
-    canonical_method,
-    canonical_partition,
     check_seeds,
-    check_sweep_cells,
     config_fingerprint,
     config_to_dict,
     load_config,
     parse_seed_list,
+    suite_cells,
     validate_config,
 )
 from .data import format_float, label_distribution, save_label_distribution, save_partition
-from .evaluation import centralized_baseline, summarize_accuracies
+from .evaluation import accuracy, centralized_train, summarize_accuracies
 from .federation import (
     ExperimentData,
     FederationResult,
@@ -126,36 +124,33 @@ def cmd_suite(
     """Sweep methods x partitions across seeds; write per-run dirs + table.csv.
 
     The sweep lists come from the config's ``methods``/``partitions`` keys and
-    fall back to its single method/partition.  Every (method, partition, seed)
-    run writes the same files as ``run`` under out/<combo>/seed_<s>/.
+    fall back to its single method/partition.  Every cell is validated before
+    the first run, so an invalid one writes nothing.  Every (method,
+    partition, seed) run writes the same files as ``run`` under
+    out/<combo>/seed_<s>/.
     """
     seed_list = list(seeds) if seeds is not None else list(cfg.suite_seeds)
     check_seeds(seed_list, seed_list)
-    check_sweep_cells(cfg)
-    method_tokens = cfg.suite_methods or (cfg.method_token(),)
-    partition_tokens = cfg.suite_partitions or (cfg.partition_token(),)
+    cells = suite_cells(cfg)
+    for _, _, cell in cells:
+        # A run differs from its cell only in the seed, which check_seeds checked.
+        validate_config(replace(cell, seed=int(seed_list[0])))
     out.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, str, float, float]] = []
-    for mt in method_tokens:
-        name, mu = canonical_method(cfg, mt)
-        for pt in partition_tokens:
-            mode, k = canonical_partition(cfg, pt)
-            sub = replace(
-                cfg, method=name, mu=mu, partition_mode=mode, shards_per_client=k
+    for mt, pt, cell in cells:
+        accs: list[float] = []
+        for s in seed_list:
+            rcfg = replace(cell, seed=int(s))
+            data = prepare_experiment(rcfg)
+            _log(quiet, f"suite: {mt} {pt} seed={s}")
+            result = run_federation(rcfg, data)
+            _write_run_outputs(
+                rcfg, data, result, out / f"{_slug(mt)}_{_slug(pt)}" / f"seed_{s}"
             )
-            accs: list[float] = []
-            for s in seed_list:
-                rcfg = replace(sub, seed=int(s))
-                data = prepare_experiment(rcfg)
-                _log(quiet, f"suite: {mt} {pt} seed={s}")
-                result = run_federation(rcfg, data)
-                _write_run_outputs(
-                    rcfg, data, result, out / f"{_slug(mt)}_{_slug(pt)}" / f"seed_{s}"
-                )
-                accs.append(result.final_accuracy)
-            mean, std = summarize_accuracies(accs)
-            rows.append((mt, pt, mean, std))
-            print(f"{mt} {pt}: mean={mean:.4f} std={std:.4f}")
+            accs.append(result.final_accuracy)
+        mean, std = summarize_accuracies(accs)
+        rows.append((mt, pt, mean, std))
+        print(f"{mt} {pt}: mean={mean:.4f} std={std:.4f}")
     with open(out / "table.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write("method,partition,mean_accuracy,std\n")
         for mt, pt, mean, std in rows:
@@ -165,8 +160,8 @@ def cmd_suite(
             "config_fingerprint": config_fingerprint(cfg),
             "seeds": [int(s) for s in seed_list],
             "std_convention": "sample (ddof=1)",
-            "methods": list(method_tokens),
-            "partitions": list(partition_tokens),
+            "methods": list(dict.fromkeys(mt for mt, _, _ in cells)),
+            "partitions": list(dict.fromkeys(pt for _, pt, _ in cells)),
         },
         out / "suite.json",
     )
@@ -200,7 +195,7 @@ def cmd_baseline(
     train, test = build_datasets(cfg)
     epochs = cfg.rounds * cfg.local_epochs
     _log(quiet, f"baseline: {epochs} epochs on {train.n_samples} pooled samples")
-    acc = centralized_baseline(train, test, cfg.hyperparams(), epochs, cfg.seed)
+    acc = accuracy(centralized_train(train, cfg.hyperparams(), epochs, cfg.seed), test)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
         {

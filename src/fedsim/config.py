@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,10 +49,7 @@ __all__ = [
     "ExperimentConfig",
     "FileData",
     "SyntheticData",
-    "canonical_method",
-    "canonical_partition",
     "check_seeds",
-    "check_sweep_cells",
     "config_fingerprint",
     "config_to_dict",
     "load_config",
@@ -61,6 +58,7 @@ __all__ = [
     "parse_partition_token",
     "parse_seed_list",
     "serialize_config",
+    "suite_cells",
     "validate_config",
 ]
 
@@ -202,34 +200,34 @@ def parse_partition_token(token: str) -> tuple[str, int | None]:
     raise ConfigError(f"partition: must be iid or shards(K), got {token!r}")
 
 
-def canonical_method(cfg: ExperimentConfig, token: str) -> tuple[str, float]:
-    """The (method, mu) a sweep token runs; a bare token takes ``cfg.mu``."""
-    name, mu = parse_method_token(token)
-    return name, cfg.mu if mu is None else mu
+def suite_cells(cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]]:
+    """The suite's cells as (method token, partition token, cell config).
 
-
-def canonical_partition(cfg: ExperimentConfig, token: str) -> tuple[str, int]:
-    """The (mode, shards_per_client) a sweep token runs; iid keeps ``cfg``'s count."""
-    mode, k = parse_partition_token(token)
-    return mode, cfg.shards_per_client if k is None else k
-
-
-def check_sweep_cells(cfg: ExperimentConfig) -> None:
-    """Reject sweep tokens that name the same cell as an earlier token.
-
-    Bare tokens resolve against this config, so run it on the suite's base
-    config, not on a per-cell copy whose mu or shard count was replaced.
+    Methods are the outer loop.  The sweep lists default to the config's own
+    method and partition, and a bare token takes the config's mu or shard
+    count, so pass the suite's base config.  A token that names the same cell
+    as an earlier one raises ConfigError; the cell configs are not validated.
     """
-    for key, tokens, canonical in (
-        ("methods", cfg.suite_methods, canonical_method),
-        ("partitions", cfg.suite_partitions, canonical_partition),
-    ):
-        seen: dict[tuple, str] = {}
+    def resolve(key, tokens, parse_token, default) -> dict[tuple, str]:
+        seen: dict[tuple, str] = {}  # resolved cell -> the token that named it
         for t in tokens:
-            cell = canonical(cfg, t)
+            name, arg = parse_token(t)
+            cell = (name, default if arg is None else arg)
             if cell in seen:
                 raise ConfigError(f"{key}: {t!r} duplicates {seen[cell]!r}")
             seen[cell] = t
+        return seen
+
+    methods = resolve("methods", cfg.suite_methods or (cfg.method_token(),),
+                      parse_method_token, cfg.mu)
+    partitions = resolve("partitions", cfg.suite_partitions or (cfg.partition_token(),),
+                         parse_partition_token, cfg.shards_per_client)
+    return [
+        (mt, pt, replace(cfg, method=name, mu=mu, partition_mode=mode,
+                         shards_per_client=k))
+        for (name, mu), mt in methods.items()
+        for (mode, k), pt in partitions.items()
+    ]
 
 
 def check_seeds(seeds: Sequence[int], got: object, key: str = "seeds") -> None:
@@ -410,7 +408,7 @@ def parse_config(text: str) -> ExperimentConfig:
             fields.update(k.parse(entries[k.name]))
     cfg = ExperimentConfig(**fields)
     validate_config(cfg)
-    check_sweep_cells(cfg)
+    suite_cells(cfg)  # rejects duplicate cells; the suite validates each cell
     if "mu" in entries and cfg.method == "fedavg":
         warnings.warn("mu is ignored when method = fedavg", stacklevel=2)
     return cfg

@@ -25,7 +25,6 @@ __all__ = [
     "generate_synthetic",
     "label_distribution",
     "load_dataset",
-    "load_partition",
     "partition_iid",
     "partition_shards",
     "partition_shards_detailed",
@@ -363,7 +362,10 @@ def load_dataset(path: str) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: malformed number") from None
     if not rows:
         raise ValueError(f"{path}: no samples")
-    return Dataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes)
+    try:
+        return Dataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_partition(splits: list[ClientSplit], path: str) -> None:
@@ -371,28 +373,6 @@ def save_partition(splits: list[ClientSplit], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for s in splits:
             f.write(f"{s.client_id}:" + ",".join(str(i) for i in s.indices) + "\n")
-
-
-def load_partition(path: str) -> list[ClientSplit]:
-    """Read a partition written by save_partition."""
-    splits: list[ClientSplit] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            head, sep, rest = line.partition(":")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'client_id:indices'")
-            try:
-                cid = int(head)
-                idx = np.array([int(v) for v in rest.split(",")], dtype=np.int64)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed integer") from None
-            splits.append(ClientSplit(cid, idx))
-    if not splits:
-        raise ValueError(f"{path}: no clients")
-    return splits
 
 
 def save_label_distribution(

@@ -1,4 +1,4 @@
-"""Model evaluation, the pooled-data baseline, and multi-seed statistics."""
+"""Model evaluation, pooled-data training, and multi-seed statistics."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .training import HyperParams, train_cohort
 
 __all__ = [
     "accuracy",
-    "centralized_baseline",
     "centralized_train",
     "summarize_accuracies",
 ]
@@ -63,13 +62,6 @@ def centralized_train(
         [derive(seed, LOCAL_STREAM, 0, 0)],
     )
     return update.params
-
-
-def centralized_baseline(
-    train: Dataset, test: Dataset, h: HyperParams, epochs: int, seed: SeedKey
-) -> float:
-    """Test accuracy of centralized_train on the pooled training data."""
-    return accuracy(centralized_train(train, h, epochs, seed), test)
 
 
 def summarize_accuracies(values: Sequence[float]) -> tuple[float, float]:

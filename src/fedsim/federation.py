@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .config import WEIGHTINGS, ExperimentConfig, SyntheticData, validate_config
+from .config import WEIGHTINGS, ConfigError, ExperimentConfig, SyntheticData, validate_config
 from .data import (
     ClientSplit,
     Dataset,
@@ -33,7 +33,7 @@ from .seeds import (
     derive,
     key_rng,
 )
-from .training import DivergenceError, HyperParams, LocalUpdate, train_cohort
+from .training import DivergenceError, LocalUpdate, train_cohort
 
 __all__ = [
     "ExperimentData",
@@ -44,7 +44,6 @@ __all__ = [
     "build_datasets",
     "prepare_experiment",
     "run_federation",
-    "run_round",
     "select_clients",
 ]
 
@@ -122,44 +121,6 @@ def aggregate(
     return ParamVector(w, b)
 
 
-def run_round(
-    state: ServerState,
-    data: Dataset,
-    splits: Sequence[ClientSplit],
-    test: Dataset,
-    h: HyperParams,
-    fraction: float = 0.5,
-    weighting: str = "datasize",
-    seed: SeedKey = 0,
-) -> tuple[ServerState, RoundReport]:
-    """One communication round: select, train locally, average.
-
-    The selected clients train as one cohort from the same snapshot of the
-    global parameters, each under its own derived seed.  A diverging client
-    raises a ValueError that names the round, the client and the epoch.
-    """
-    r = state.round_index
-    selected = select_clients(len(splits), fraction, seed, r)
-    try:
-        updates = train_cohort(
-            state.global_params,
-            data,
-            [splits[c] for c in selected],
-            h,
-            [derive(seed, LOCAL_STREAM, r, c) for c in selected],
-        )
-    except DivergenceError as exc:
-        raise ValueError(f"round {r}, {exc}") from None
-    new_params = aggregate(updates, weighting)
-    report = RoundReport(
-        round_index=r,
-        selected_clients=tuple(selected),
-        client_losses=tuple(u.mean_final_epoch_loss for u in updates),
-        test_accuracy=accuracy(new_params, test),
-    )
-    return ServerState(new_params, r + 1), report
-
-
 @dataclass(frozen=True)
 class ExperimentData:
     """Materialized inputs of a run: datasets plus the client partition."""
@@ -201,14 +162,21 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> ExperimentData:
-    """Validate the config, build the datasets, and partition the train set."""
+    """Validate the config, build the datasets, and partition the train set.
+
+    A file() dataset's size is known only once it is read, so a partition it
+    cannot hold raises a ConfigError naming the ``partition`` key here.
+    """
     validate_config(cfg)
     train, test = build_datasets(cfg)
     pkey = derive(cfg.seed, PARTITION_STREAM)
-    if cfg.partition_mode == "iid":
-        splits = partition_iid(train, cfg.n_clients, pkey)
-    else:
-        splits = partition_shards(train, cfg.n_clients, cfg.shards_per_client, pkey)
+    try:
+        if cfg.partition_mode == "iid":
+            splits = partition_iid(train, cfg.n_clients, pkey)
+        else:
+            splits = partition_shards(train, cfg.n_clients, cfg.shards_per_client, pkey)
+    except ValueError as exc:
+        raise ConfigError(f"partition: {exc}") from None
     return ExperimentData(train=train, test=test, splits=tuple(splits))
 
 
@@ -219,38 +187,42 @@ def run_federation(
 ) -> FederationResult:
     """Run ``cfg.rounds`` rounds from zero-initialized global parameters.
 
-    Deterministic given the config: datasets, partition, per-round selection,
-    and per-client shuffles all derive from ``cfg.seed``.  Pass ``data`` to
-    reuse an already prepared ExperimentData for the same config.
+    Each round selects clients, trains them as one cohort from the same
+    snapshot of the global parameters, each under its own derived seed, and
+    averages the results.  A diverging client raises a ValueError that names
+    the round, the client and the epoch.  Deterministic given the config:
+    datasets, partition, per-round selection, and per-client shuffles all
+    derive from ``cfg.seed``.  Pass ``data`` to reuse an already prepared
+    ExperimentData for the same config.
     """
     if data is None:
         data = prepare_experiment(cfg)
     else:
         validate_config(cfg)
     h = cfg.hyperparams()
-    state = ServerState(
-        ParamVector.zeros(data.train.n_classes, data.train.feature_dim), 0
-    )
+    params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
     history: list[RoundReport] = []
-    for _ in range(cfg.rounds):
-        state, report = run_round(
-            state,
-            data.train,
-            data.splits,
-            data.test,
-            h,
-            fraction=cfg.fraction,
-            weighting=cfg.weighting,
-            seed=cfg.seed,
+    for r in range(cfg.rounds):
+        selected = select_clients(len(data.splits), cfg.fraction, cfg.seed, r)
+        try:
+            updates = train_cohort(
+                params,
+                data.train,
+                [data.splits[c] for c in selected],
+                h,
+                [derive(cfg.seed, LOCAL_STREAM, r, c) for c in selected],
+            )
+        except DivergenceError as exc:
+            raise ValueError(f"round {r}, {exc}") from None
+        params = aggregate(updates, cfg.weighting)
+        report = RoundReport(
+            round_index=r,
+            selected_clients=tuple(selected),
+            client_losses=tuple(u.mean_final_epoch_loss for u in updates),
+            test_accuracy=accuracy(params, data.test),
         )
         history.append(report)
         if progress is not None:
             progress(report)
-    final = (
-        history[-1].test_accuracy
-        if history
-        else accuracy(state.global_params, data.test)
-    )
-    return FederationResult(
-        history=tuple(history), final_state=state, final_accuracy=final
-    )
+    final = history[-1].test_accuracy if history else accuracy(params, data.test)
+    return FederationResult(tuple(history), ServerState(params, cfg.rounds), final)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import _readonly
 
-__all__ = ["ParamVector", "loss_grad", "params_equal"]
+__all__ = ["ParamVector", "loss_grad"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,15 +52,6 @@ class ParamVector:
         if n_classes < 1 or feature_dim < 1:
             raise ValueError("n_classes and feature_dim must be >= 1")
         return cls(np.zeros((n_classes, feature_dim)), np.zeros(n_classes))
-
-
-def params_equal(a: ParamVector, b: ParamVector) -> bool:
-    """Exact equality of shapes and entries."""
-    return (
-        a.weights.shape == b.weights.shape
-        and np.array_equal(a.weights, b.weights)
-        and np.array_equal(a.bias, b.bias)
-    )
 
 
 def loss_grad(

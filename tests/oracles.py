@@ -31,6 +31,11 @@ def rand_batch(
     )
 
 
+def same_params(a: ParamVector, b: ParamVector) -> bool:
+    """Exact equality of weights and bias, shapes included."""
+    return np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+
 def kernel(params: ParamVector, x: np.ndarray, y: np.ndarray) -> tuple[float, ParamVector]:
     """The code under test, not an oracle: model.loss_grad's loss and gradient."""
     loss, gw, gb = loss_grad(params.weights, params.bias, x, y)

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 from fedsim.cli import cmd_run
-from fedsim.config import ExperimentConfig, SyntheticData, load_config
+from fedsim.config import ExperimentConfig, SyntheticData, load_config, suite_cells
 from fedsim.data import generate_synthetic, partition_shards_detailed
 from fedsim.evaluation import (
     accuracy,
-    centralized_baseline,
     centralized_train,
     summarize_accuracies,
 )
@@ -30,7 +29,6 @@ from fedsim.federation import (
     run_federation,
     select_clients,
 )
-from fedsim.model import params_equal
 from fedsim.seeds import derive
 from fedsim.training import LocalUpdate
 from oracles import (
@@ -41,6 +39,7 @@ from oracles import (
     max_rel_err,
     rand_batch,
     rand_params,
+    same_params,
     scalar_weighted_mean,
 )
 
@@ -68,7 +67,7 @@ def test_mu_zero_proximal_reduces_to_plain_averaging():
         identical = (
             identical
             and a.history == p.history
-            and params_equal(
+            and same_params(
                 a.final_state.global_params, p.final_state.global_params
             )
         )
@@ -166,25 +165,22 @@ def test_shard_partitions_satisfy_structural_invariants():
 @pytest.fixture(scope="module")
 def trend_grid():
     t0 = time.perf_counter()
-    base = ExperimentConfig()
+    base = ExperimentConfig(
+        suite_methods=("fedavg", "fedprox"),
+        suite_partitions=("iid", "shards(2)", "shards(3)"),
+    )
     cells = {}
-    for method in ("fedavg", "fedprox"):
-        for label, mode, k in (
-            ("iid", "iid", 2),
-            ("shards2", "shards", 2),
-            ("shards3", "shards", 3),
-        ):
-            cfg = replace(base, method=method, partition_mode=mode, shards_per_client=k)
-            accs = [run_federation(replace(cfg, seed=s)).final_accuracy for s in SEEDS]
-            mean, std = summarize_accuracies(accs)
-            cells[(method, label)] = SimpleNamespace(mean=mean, std=std)
+    for mt, pt, cfg in suite_cells(base):
+        accs = [run_federation(replace(cfg, seed=s)).final_accuracy for s in SEEDS]
+        mean, std = summarize_accuracies(accs)
+        cells[(mt, pt)] = SimpleNamespace(mean=mean, std=std)
     centralized = []
     epochs = base.rounds * base.local_epochs
     for s in SEEDS:
         cfg = replace(base, seed=s)
         train, test = build_datasets(cfg)
         centralized.append(
-            centralized_baseline(train, test, cfg.hyperparams(), epochs, s)
+            accuracy(centralized_train(train, cfg.hyperparams(), epochs, s), test)
         )
     return {
         "cells": cells,
@@ -219,8 +215,8 @@ def test_trend_iid_tracks_centralized(trend_grid):
 
 def test_trend_label_skew_degrades_accuracy(trend_grid):
     cells = trend_grid["cells"]
-    drop_avg = cells[("fedavg", "iid")].mean - cells[("fedavg", "shards2")].mean
-    drop_prox = cells[("fedprox", "iid")].mean - cells[("fedprox", "shards2")].mean
+    drop_avg = cells[("fedavg", "iid")].mean - cells[("fedavg", "shards(2)")].mean
+    drop_prox = cells[("fedprox", "iid")].mean - cells[("fedprox", "shards(2)")].mean
     ok = drop_avg >= 0.02 and drop_prox >= 0.02
     verdict(
         "trend-skew-degradation",
@@ -232,8 +228,8 @@ def test_trend_label_skew_degrades_accuracy(trend_grid):
 
 def test_trend_proximal_dominates_under_skew(trend_grid):
     cells = trend_grid["cells"]
-    lead2 = cells[("fedprox", "shards2")].mean - cells[("fedavg", "shards2")].mean
-    lead3 = cells[("fedprox", "shards3")].mean - cells[("fedavg", "shards3")].mean
+    lead2 = cells[("fedprox", "shards(2)")].mean - cells[("fedavg", "shards(2)")].mean
+    lead3 = cells[("fedprox", "shards(3)")].mean - cells[("fedavg", "shards(3)")].mean
     ok = lead2 >= 0.0 and lead3 >= 0.0
     verdict(
         "trend-proximal-lead",
@@ -246,7 +242,7 @@ def test_trend_proximal_dominates_under_skew(trend_grid):
 def test_trend_label_skew_inflates_variance(trend_grid):
     cells = trend_grid["cells"]
     iid_std = cells[("fedavg", "iid")].std
-    skew_std = cells[("fedavg", "shards2")].std
+    skew_std = cells[("fedavg", "shards(2)")].std
     ok = skew_std > iid_std
     verdict(
         "trend-variance",
@@ -269,13 +265,13 @@ def test_single_client_federation_collapses_to_centralized():
     fed = run_federation(cfg, data)
     central = centralized_train(data.train, cfg.hyperparams(), 6, cfg.seed)
     diff = abs(fed.final_accuracy - accuracy(central, data.test))
-    same_params = params_equal(fed.final_state.global_params, central)
-    ok = diff == 0.0 and same_params
+    bit_identical = same_params(fed.final_state.global_params, central)
+    ok = diff == 0.0 and bit_identical
     verdict(
         "centralized-collapse",
         ok,
         f"accuracy difference {diff} (required exactly 0), "
-        f"parameters bit-identical={same_params}",
+        f"parameters bit-identical={bit_identical}",
     )
 
 

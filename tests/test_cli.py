@@ -13,7 +13,7 @@ import pytest
 import fedsim
 from fedsim.cli import cmd_inspect_partition, cmd_run, cmd_suite, main
 from fedsim.config import ConfigError, config_fingerprint, load_config, parse_config
-from fedsim.data import format_float, load_partition
+from fedsim.data import Dataset, format_float, save_dataset
 from fedsim.evaluation import summarize_accuracies
 from fedsim.federation import select_clients
 
@@ -234,6 +234,45 @@ def test_suite_rejects_duplicate_cells(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_suite_checks_every_cell_before_the_first_run(tmp_path, capsys):
+    # The iid cell is feasible, but 4 clients x 1000 shards exceed the 160
+    # training samples: nothing runs and nothing is written.
+    cfg_path = tmp_path / "infeasible.cfg"
+    cfg_path.write_text(TINY + "partitions = iid, shards(1000)\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: partition: infeasible, 4000 shards")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("n_clients = 20", "cannot split 6 samples across 20 clients"),
+        ("n_clients = 2\npartition = shards(1)",
+         "need at least one shard per class: 2 shards for 3 classes"),
+    ],
+    ids=["more-clients-than-rows", "fewer-shards-than-classes"],
+)
+def test_file_dataset_partition_errors_name_the_key(tmp_path, capsys, setting, message):
+    # A file() dataset's size is unknown until it is read, so these pass
+    # validate_config and fail when the rows are partitioned.
+    data = tmp_path / "six.csv"
+    rows = [[float(i), 1.0, 0.0] for i in range(6)]
+    save_dataset(Dataset(rows, [0, 0, 1, 1, 2, 2], 3), data)
+    cfg_path = tmp_path / "file.cfg"
+    cfg_path.write_text(f"{setting}\ndataset = file(train={data}, test={data})\n",
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: partition: {message}\n"
+    assert not out.exists()
+
+
 def test_suite_runs_bare_and_explicit_mu_cells_to_completion(tmp_path, capsys):
     # A bare fedprox takes the config's mu (default 0.2), so it and
     # fedprox(0.3) are distinct cells, even though each cell's own config
@@ -282,10 +321,10 @@ def test_inspect_partition_reports_label_caps(tmp_path, capsys):
     for line in lines[1:]:
         parts = line.split()
         assert int(parts[2]) <= 2
-    parts_file = out / "partition.txt"
     assert (out / "labels.csv").exists()
-    loaded = load_partition(parts_file)
-    assert sum(s.n_samples for s in loaded) == 160
+    lines = (out / "partition.txt").read_text(encoding="utf-8").splitlines()
+    indices = [int(i) for line in lines for i in line.split(":")[1].split(",")]
+    assert sorted(indices) == list(range(160))
 
 
 def test_inspect_partition_iid_sees_every_label(tmp_path, capsys):

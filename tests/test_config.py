@@ -11,8 +11,6 @@ from fedsim.config import (
     ExperimentConfig,
     FileData,
     SyntheticData,
-    canonical_method,
-    canonical_partition,
     config_fingerprint,
     config_to_dict,
     load_config,
@@ -21,6 +19,7 @@ from fedsim.config import (
     parse_partition_token,
     parse_seed_list,
     serialize_config,
+    suite_cells,
     validate_config,
 )
 
@@ -184,9 +183,36 @@ def test_distinct_sweep_tokens_keep_their_text():
         "partitions = iid, shards(1), shards(2)"
     )
     assert cfg.suite_methods == ("fedavg", "fedprox", "fedprox(.3)", "fedprox(0)")
-    assert canonical_method(cfg, "fedprox(.3)") == canonical_method(cfg, "fedprox(0.3)")
-    assert canonical_method(cfg, "fedprox") == ("fedprox", cfg.mu)
-    assert canonical_partition(cfg, "Shards(02)") == ("shards", 2)
+    cells = suite_cells(cfg)
+    assert [(mt, pt) for mt, pt, _ in cells[:3]] == [
+        ("fedavg", "iid"), ("fedavg", "shards(1)"), ("fedavg", "shards(2)")
+    ]
+    runs = {(mt, pt): (c.method, c.mu, c.partition_mode, c.shards_per_client)
+            for mt, pt, c in cells}
+    assert runs[("fedprox(.3)", "shards(2)")] == ("fedprox", 0.3, "shards", 2)
+    assert runs[("fedprox", "iid")] == ("fedprox", cfg.mu, "iid", cfg.shards_per_client)
+    assert runs[("fedavg", "shards(1)")][:2] == ("fedavg", cfg.mu)
+    assert len(cells) == 12
+
+
+def test_suite_cells_default_to_the_config_and_resolve_tokens():
+    cfg = parse_config("method = fedprox\nmu = 0.3\npartition = shards(3)")
+    ((mt, pt, cell),) = suite_cells(cfg)
+    assert (mt, pt) == ("fedprox(0.3)", "shards(3)")
+    assert cell == cfg
+    cfg = replace(cfg, suite_partitions=("Shards(02)", "iid"))
+    assert [c.shards_per_client for _, _, c in suite_cells(cfg)] == [2, 3]
+    with pytest.raises(ConfigError, match="^partitions: 'shards\\(2\\)' duplicates"):
+        suite_cells(replace(cfg, suite_partitions=("shards(02)", "shards(2)")))
+
+
+def test_parse_config_leaves_sweep_cells_unvalidated():
+    # 10 clients x 1000 shards exceed the 4000 training samples; only the
+    # suite, which runs the cell, rejects it.
+    cfg = parse_config("partitions = iid, shards(1000)")
+    infeasible = suite_cells(cfg)[1][2]
+    with pytest.raises(ConfigError, match="^partition: infeasible, 10000 shards"):
+        validate_config(infeasible)
 
 
 def test_mu_warning_only_for_fedavg():

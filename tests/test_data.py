@@ -1,5 +1,7 @@
 """Synthetic data generation, partitioning, and the text file formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from fedsim.data import (
     generate_synthetic,
     label_distribution,
     load_dataset,
-    load_partition,
     partition_iid,
     partition_shards,
     partition_shards_detailed,
@@ -276,29 +277,33 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1.0,2.0\n3,0.5,0.5\n1,0.0,1.0\n2,1.0,1.0\n", "labels must lie in [0, 3)"),
+        ("0,1.0,nan\n1,0.5,0.5\n2,0.0,1.0\n", "features must be finite"),
+        ("0,1.0,2.0\n1,0.5,0.5\n1,0.0,1.0\n", "class 2 has no samples"),
+    ],
+    ids=["label-out-of-range", "nan-feature", "missing-class"],
+)
+def test_load_dataset_names_the_file_when_rows_are_invalid(tmp_path, rows, message):
+    p = tmp_path / "rows.csv"
+    p.write_text("2,3\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_dataset(p)
+
+
 def test_partition_file_roundtrip(tmp_path):
     d = generate_synthetic(50, 2, 4, 2.0, 3)
     splits = partition_iid(d, 4, 8)
     path = tmp_path / "parts.txt"
     save_partition(splits, path)
-    loaded = load_partition(path)
-    assert len(loaded) == 4
-    for a, b in zip(splits, loaded):
-        assert a.client_id == b.client_id
-        assert np.array_equal(a.indices, b.indices)
-
-
-def test_load_partition_errors(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("0 1,2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="client_id:indices"):
-        load_partition(p)
-    p.write_text("0:1,x\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="malformed integer"):
-        load_partition(p)
-    p.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="no clients"):
-        load_partition(p)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4
+    for s, line in zip(splits, lines):
+        cid, indices = line.split(":")
+        assert int(cid) == s.client_id
+        assert [int(i) for i in indices.split(",")] == s.indices.tolist()
 
 
 def test_save_label_distribution_contents(tmp_path):

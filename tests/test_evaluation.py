@@ -10,14 +10,14 @@ from fedsim.config import ExperimentConfig, SyntheticData
 from fedsim.data import ClientSplit, Dataset, generate_synthetic, synthetic_train_test
 from fedsim.evaluation import (
     accuracy,
-    centralized_baseline,
     centralized_train,
     summarize_accuracies,
 )
 from fedsim.federation import run_federation
-from fedsim.model import ParamVector, params_equal
+from fedsim.model import ParamVector
 from fedsim.training import HyperParams, train_cohort
 from fedsim.seeds import LOCAL_STREAM, derive
+from oracles import same_params
 
 
 def test_accuracy_counts_argmax_matches():
@@ -47,7 +47,7 @@ def test_accuracy_shape_errors():
 def test_centralized_train_zero_epochs_returns_zeros():
     d = generate_synthetic(30, 3, 5, 3.0, 0)
     p = centralized_train(d, HyperParams(), 0, 0)
-    assert params_equal(p, ParamVector.zeros(3, 5))
+    assert same_params(p, ParamVector.zeros(3, 5))
     with pytest.raises(ValueError, match="epochs"):
         centralized_train(d, HyperParams(), -1, 0)
 
@@ -63,7 +63,7 @@ def test_centralized_train_is_full_split_local_train():
         replace(h, local_epochs=4),
         [derive(7, LOCAL_STREAM, 0, 0)],
     )
-    assert params_equal(got, want.params)
+    assert same_params(got, want.params)
 
 
 def test_centralized_train_ignores_proximal_setting():
@@ -72,12 +72,12 @@ def test_centralized_train_ignores_proximal_setting():
     proxed = centralized_train(
         d, HyperParams(batch_size=16, objective="fedprox", mu=5.0), 3, 0
     )
-    assert params_equal(plain, proxed)
+    assert same_params(plain, proxed)
 
 
 def test_centralized_baseline_converges_on_separated_data():
     train, test = synthetic_train_test(1250, 4, 16, 6.0, 0.2, 0)
-    acc = centralized_baseline(train, test, HyperParams(), 10, 0)
+    acc = accuracy(centralized_train(train, HyperParams(), 10, 0), test)
     assert acc >= 0.95
 
 
@@ -96,7 +96,7 @@ def test_one_client_federation_collapses_to_centralized():
     data = prepare_experiment(cfg)
     fed = run_federation(cfg, data)
     central = centralized_train(data.train, cfg.hyperparams(), 4, cfg.seed)
-    assert params_equal(fed.final_state.global_params, central)
+    assert same_params(fed.final_state.global_params, central)
     assert fed.final_accuracy - accuracy(central, data.test) == 0.0
 
 

@@ -1,5 +1,7 @@
 """Client selection, aggregation, rounds, and full federated runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,18 +9,16 @@ from fedsim.config import ExperimentConfig, FileData, SyntheticData
 from fedsim.data import save_dataset, synthetic_train_test
 from fedsim.evaluation import accuracy
 from fedsim.federation import (
-    ServerState,
     aggregate,
     build_datasets,
     prepare_experiment,
     run_federation,
-    run_round,
     select_clients,
 )
-from fedsim.model import ParamVector, params_equal
+from fedsim.model import ParamVector
 from fedsim.seeds import LOCAL_STREAM, derive
-from fedsim.training import HyperParams, LocalUpdate, train_cohort
-from oracles import max_abs_diff, rand_params, scalar_weighted_mean
+from fedsim.training import LocalUpdate, train_cohort
+from oracles import max_abs_diff, rand_params, same_params, scalar_weighted_mean
 
 
 def tiny_config(**overrides):
@@ -94,14 +94,14 @@ def test_aggregate_two_clients_closed_form():
 def test_aggregate_equal_sizes_make_weightings_agree():
     rng = np.random.default_rng(2)
     ups = [LocalUpdate(rand_params(rng, 2, 3), 5, 0.0) for _ in range(4)]
-    assert params_equal(aggregate(ups, "datasize"), aggregate(ups, "uniform"))
+    assert same_params(aggregate(ups, "datasize"), aggregate(ups, "uniform"))
 
 
 def test_aggregate_single_update_is_identity():
     rng = np.random.default_rng(3)
     p = rand_params(rng, 2, 3)
-    assert params_equal(aggregate([LocalUpdate(p, 9, 0.0)], "datasize"), p)
-    assert params_equal(aggregate([LocalUpdate(p, 9, 0.0)], "uniform"), p)
+    assert same_params(aggregate([LocalUpdate(p, 9, 0.0)], "datasize"), p)
+    assert same_params(aggregate([LocalUpdate(p, 9, 0.0)], "uniform"), p)
 
 
 def test_aggregate_matches_scalar_oracle():
@@ -142,60 +142,51 @@ def test_aggregate_errors():
         aggregate(mixed, "uniform")
 
 
-def prepared(cfg):
+def one_round(cfg, data):
+    """The one report and final parameters of a one-round run of ``cfg``."""
+    res = run_federation(replace(cfg, rounds=1), data)
+    return res.history[0], res.final_state.global_params
+
+
+def test_one_round_at_tiny_learning_rate_stays_at_global_params():
+    # learning_rate must be > 0.  At 1e-300, six steps on features below 15
+    # in size move no coordinate further than 1e-296 from the zero start.
+    cfg = tiny_config(learning_rate=1e-300)
     data = prepare_experiment(cfg)
-    state = ServerState(
-        ParamVector.zeros(data.train.n_classes, data.train.feature_dim), 0
-    )
-    return data, state
-
-
-def test_run_round_zero_learning_rate_keeps_global_params():
-    cfg = tiny_config(learning_rate=0.01)
-    data, state = prepared(cfg)
-    h = HyperParams(learning_rate=0.0, batch_size=16, local_epochs=2)
-    new_state, report = run_round(
-        state, data.train, data.splits, data.test, h, fraction=0.5, seed=cfg.seed
-    )
-    assert params_equal(new_state.global_params, state.global_params)
-    assert new_state.round_index == 1
+    assert np.abs(data.train.features).max() < 15
+    report, params = one_round(cfg, data)
+    assert np.abs(params.weights).max() < 1e-296
+    assert np.abs(params.bias).max() < 1e-296
     assert report.round_index == 0
     assert list(report.selected_clients) == select_clients(4, 0.5, cfg.seed, 0)
     assert len(report.client_losses) == len(report.selected_clients)
     assert 0.0 <= report.test_accuracy <= 1.0
 
 
-def test_run_round_matches_clients_trained_alone():
+def test_one_round_matches_clients_trained_alone():
     # Full participation over clients of unequal sizes with ragged final
     # batches: the round's losses and average are those of solo training.
     cfg = tiny_config(n_clients=6, fraction=1.0, partition_mode="shards")
-    data, state = prepared(cfg)
+    data = prepare_experiment(cfg)
     assert len({s.n_samples for s in data.splits}) > 1
-    h = cfg.hyperparams()
-    new_state, report = run_round(
-        state, data.train, data.splits, data.test, h, fraction=1.0, seed=cfg.seed
-    )
+    report, params = one_round(cfg, data)
+    zeros = ParamVector.zeros(4, 8)
     alone = [
         train_cohort(
-            state.global_params, data.train, [s], h,
+            zeros, data.train, [s], cfg.hyperparams(),
             [derive(cfg.seed, LOCAL_STREAM, 0, s.client_id)],
         )[0]
         for s in data.splits
     ]
     assert report.client_losses == tuple(u.mean_final_epoch_loss for u in alone)
-    assert params_equal(new_state.global_params, aggregate(alone))
+    assert same_params(params, aggregate(alone))
 
 
-def test_run_round_client_losses_do_not_depend_on_cohort():
+def test_one_round_client_losses_do_not_depend_on_cohort():
     cfg = tiny_config(n_clients=6)
-    data, state = prepared(cfg)
-    h = cfg.hyperparams()
-    _, full = run_round(
-        state, data.train, data.splits, data.test, h, fraction=1.0, seed=cfg.seed
-    )
-    _, half = run_round(
-        state, data.train, data.splits, data.test, h, fraction=0.5, seed=cfg.seed
-    )
+    data = prepare_experiment(cfg)
+    full, _ = one_round(replace(cfg, fraction=1.0), data)
+    half, _ = one_round(cfg, data)
     by_client = dict(zip(full.selected_clients, full.client_losses))
     assert len(half.selected_clients) == 3
     assert half.client_losses == tuple(by_client[c] for c in half.selected_clients)
@@ -206,7 +197,7 @@ def test_run_federation_deterministic():
     a = run_federation(cfg)
     b = run_federation(cfg)
     assert a.history == b.history
-    assert params_equal(a.final_state.global_params, b.final_state.global_params)
+    assert same_params(a.final_state.global_params, b.final_state.global_params)
     assert a.final_accuracy == b.final_accuracy
 
 

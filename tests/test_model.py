@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.model import ParamVector, loss_grad, params_equal
+from fedsim.model import ParamVector, loss_grad
 from oracles import (
     fd_gradient,
     kernel,
@@ -49,17 +49,6 @@ def test_param_vector_zeros_and_sizes():
     assert not p.weights.any() and not p.bias.any()
     with pytest.raises(ValueError):
         ParamVector.zeros(0, 5)
-
-
-def test_params_equal_exact():
-    a = ParamVector([[1.0, 2.0]], [3.0])
-    b = ParamVector([[1.0, 2.0]], [3.0])
-    c = ParamVector([[1.0, 2.0 + 1e-16]], [3.0])
-    d = ParamVector([[1.0, 2.0000001]], [3.0])
-    assert params_equal(a, b)
-    assert params_equal(a, c)  # 2.0 + 1e-16 rounds to 2.0
-    assert not params_equal(a, d)
-    assert not params_equal(a, ParamVector([[1.0, 2.0], [0.0, 0.0]], [3.0, 0.0]))
 
 
 def test_softmax_known_two_class_values():
