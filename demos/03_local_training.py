@@ -21,17 +21,18 @@ from fedsim import (
 
 
 def train_alone(anchor, data, split, h, seed):
-    (update,) = train_cohort(anchor, data, [split], h, [seed])
-    return update
+    """A cohort of one: the client's parameters and its final-epoch loss."""
+    weights, bias, losses = train_cohort(anchor, data, [split], h, [seed])
+    return ParamVector(weights[0], bias[0]), float(losses[0])
 
 
 def bit_identical(a: ParamVector, b: ParamVector) -> bool:
     return np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
 
-def drift(update, anchor: ParamVector) -> float:
-    dw = update.params.weights - anchor.weights
-    db = update.params.bias - anchor.bias
+def drift(params: ParamVector, anchor: ParamVector) -> float:
+    dw = params.weights - anchor.weights
+    db = params.bias - anchor.bias
     return float(np.sqrt((dw * dw).sum() + (db * db).sum()))
 
 
@@ -60,16 +61,14 @@ def main() -> None:
             mu=mu,
             objective="fedprox",
         )
-        update = train_alone(anchor, data, split, h, seed=0)
-        print(f"  fedprox    {mu:>8.1f}  {drift(update, anchor):>8.4f}"
-              f"  {update.mean_final_epoch_loss:>10.4f}")
+        params, loss = train_alone(anchor, data, split, h, seed=0)
+        print(f"  fedprox    {mu:>8.1f}  {drift(params, anchor):>8.4f}  {loss:>10.4f}")
 
     plain = HyperParams(
         learning_rate=0.05, batch_size=32, local_epochs=10, objective="fedavg"
     )
-    update = train_alone(anchor, data, split, plain, seed=0)
-    print(f"  fedavg            -  {drift(update, anchor):>8.4f}"
-          f"  {update.mean_final_epoch_loss:>10.4f}")
+    params, loss = train_alone(anchor, data, split, plain, seed=0)
+    print(f"  fedavg            -  {drift(params, anchor):>8.4f}  {loss:>10.4f}")
 
     # mu = 0 makes the penalty vanish, so fedprox reproduces fedavg exactly,
     # down to the last bit.
@@ -77,20 +76,20 @@ def main() -> None:
         learning_rate=0.05, batch_size=32, local_epochs=10,
         mu=0.0, objective="fedprox",
     )
-    update_zero = train_alone(anchor, data, split, zero, seed=0)
-    print("\nfedprox(mu=0) bit-identical to fedavg:",
-          bit_identical(update_zero.params, update.params))
+    params_zero, _ = train_alone(anchor, data, split, zero, seed=0)
+    print("\nfedprox(mu=0) bit-identical to fedavg:", bit_identical(params_zero, params))
 
     # The penalty itself, measured at the fedavg endpoint.
     print("penalty (mu/2)*||w - w_g||^2 at the fedavg endpoint, mu = 1:",
-          f"{0.5 * 1.0 * drift(update, anchor) ** 2:.4f}")
+          f"{0.5 * 1.0 * drift(params, anchor) ** 2:.4f}")
 
-    # All four clients as one cohort, stepped in lockstep: each update is
-    # bit-identical to that client's solo run, whatever its cohort.
-    cohort = train_cohort(anchor, data, splits, plain, seeds=[0, 1, 2, 3])
+    # All four clients as one cohort, stepped in lockstep: it comes back as
+    # one stack, and each row is bit-identical to that client's solo run,
+    # whatever its cohort.
+    weights, bias, _ = train_cohort(anchor, data, splits, plain, seeds=[0, 1, 2, 3])
     same = all(
-        bit_identical(u.params, train_alone(anchor, data, s, plain, seed=i).params)
-        for i, (s, u) in enumerate(zip(splits, cohort))
+        bit_identical(ParamVector(w, b), train_alone(anchor, data, s, plain, i)[0])
+        for i, (s, w, b) in enumerate(zip(splits, weights, bias))
     )
     print("4-client cohort bit-identical to 4 solo runs:", same)
 

@@ -41,7 +41,7 @@ from .federation import (
     select_clients,
 )
 from .model import ParamVector
-from .training import HyperParams, LocalUpdate, train_cohort
+from .training import HyperParams, train_cohort
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "FederationResult",
     "FileData",
     "HyperParams",
-    "LocalUpdate",
     "ParamVector",
     "RoundReport",
     "ServerState",

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from .config import (
     ConfigError,
     ExperimentConfig,
+    FileData,
     check_seeds,
     config_fingerprint,
     config_to_dict,
@@ -125,8 +126,9 @@ def cmd_suite(
 
     The sweep lists come from the config's ``methods``/``partitions`` keys and
     fall back to its single method/partition.  Every cell is validated before
-    the first run, so an invalid one writes nothing.  Every (method,
-    partition, seed) run writes the same files as ``run`` under
+    the first run, so an invalid one writes nothing.  A file() dataset is read
+    once, and every cell is partitioned with it before the first run too.
+    Every (method, partition, seed) run writes the same files as ``run`` under
     out/<combo>/seed_<s>/.
     """
     seed_list = list(seeds) if seeds is not None else list(cfg.suite_seeds)
@@ -135,13 +137,19 @@ def cmd_suite(
     for _, _, cell in cells:
         # A run differs from its cell only in the seed, which check_seeds checked.
         validate_config(replace(cell, seed=int(seed_list[0])))
+    datasets = None
+    if isinstance(cfg.dataset, FileData):
+        # Read once; whether its rows hold a cell's partition is seed-free.
+        datasets = build_datasets(cfg)
+        for _, _, cell in cells:
+            prepare_experiment(replace(cell, seed=int(seed_list[0])), datasets)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, str, float, float]] = []
     for mt, pt, cell in cells:
         accs: list[float] = []
         for s in seed_list:
             rcfg = replace(cell, seed=int(s))
-            data = prepare_experiment(rcfg)
+            data = prepare_experiment(rcfg, datasets)
             _log(quiet, f"suite: {mt} {pt} seed={s}")
             result = run_federation(rcfg, data)
             _write_run_outputs(

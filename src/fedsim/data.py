@@ -343,6 +343,8 @@ def load_dataset(path: str) -> Dataset:
             feature_dim, n_classes = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"{path}: header must hold two integers") from None
+        if feature_dim < 1:
+            raise ValueError(f"{path}: header feature_dim must be >= 1, got {feature_dim}")
         labels: list[int] = []
         rows: list[list[float]] = []
         for lineno, line in enumerate(f, start=2):

@@ -54,14 +54,14 @@ def centralized_train(
     params = ParamVector.zeros(train.n_classes, train.feature_dim)
     if epochs == 0:
         return params
-    (update,) = train_cohort(
+    weights, bias, _ = train_cohort(
         params,
         train,
         [ClientSplit(0, np.arange(train.n_samples))],
         replace(h, local_epochs=epochs, objective="fedavg"),
         [derive(seed, LOCAL_STREAM, 0, 0)],
     )
-    return update.params
+    return ParamVector(weights[0], bias[0])
 
 
 def summarize_accuracies(values: Sequence[float]) -> tuple[float, float]:

@@ -1,10 +1,10 @@
 """Server-side orchestration: selection, dispatch, averaging, round loop.
 
 Every round broadcasts the global parameters, trains the selected clients
-locally from that same snapshot in one lockstep cohort, and replaces the
-global parameters with the weighted average of the returned ones.  A client's
-update does not depend on which other clients share its round, and updates
-are averaged in ascending client-id order.
+locally from that same snapshot in one lockstep cohort, which comes back as
+one stack with a row per client, and replaces the global parameters with the
+weighted average of the rows.  A client's row does not depend on which other
+clients share its round, and rows are averaged in ascending client-id order.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .config import WEIGHTINGS, ConfigError, ExperimentConfig, SyntheticData, validate_config
 from .data import (
@@ -33,7 +35,7 @@ from .seeds import (
     derive,
     key_rng,
 )
-from .training import DivergenceError, LocalUpdate, train_cohort
+from .training import DivergenceError, train_cohort
 
 __all__ = [
     "ExperimentData",
@@ -90,34 +92,38 @@ def select_clients(
 
 
 def aggregate(
-    updates: Sequence[LocalUpdate], weighting: str = "datasize"
+    weights: np.ndarray,
+    bias: np.ndarray,
+    n_samples: Sequence[int],
+    weighting: str = "datasize",
 ) -> ParamVector:
-    """Average client parameters.
+    """Average a stack of client parameters.
 
-    "datasize" weighs update i by n_i / sum(n); "uniform" by 1/m.  The sum is
-    accumulated left to right, in the order the updates are given.
+    Row i of ``weights (m, C, d)`` and ``bias (m, C)`` is a client trained on
+    ``n_samples[i]`` samples.  "datasize" weighs row i by n_i / sum(n);
+    "uniform" by 1/m.  The sum is accumulated left to right, in row order.
     """
-    if not updates:
-        raise ValueError("updates must be non-empty")
+    if len(weights) == 0:
+        raise ValueError("weights must hold at least one row")
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    first = updates[0].params
-    for u in updates[1:]:
-        if u.params.weights.shape != first.weights.shape:
-            raise ValueError(
-                f"parameter shapes differ: {u.params.weights.shape} vs "
-                f"{first.weights.shape}"
-            )
+    if bias.shape != weights.shape[:2] or len(n_samples) != len(weights):
+        raise ValueError(
+            f"weights {weights.shape}, bias {bias.shape} and {len(n_samples)} "
+            "sample counts do not agree"
+        )
+    if min(n_samples) < 1:
+        raise ValueError(f"n_samples must be >= 1, got {min(n_samples)}")
     if weighting == "datasize":
-        total = sum(u.n_samples for u in updates)
-        coeffs = [u.n_samples / total for u in updates]
+        total = sum(n_samples)
+        coeffs = [n / total for n in n_samples]
     else:
-        coeffs = [1.0 / len(updates)] * len(updates)
-    w = coeffs[0] * first.weights
-    b = coeffs[0] * first.bias
-    for c, u in zip(coeffs[1:], updates[1:]):
-        w += c * u.params.weights
-        b += c * u.params.bias
+        coeffs = [1.0 / len(weights)] * len(weights)
+    w = coeffs[0] * weights[0]
+    b = coeffs[0] * bias[0]
+    for c, wi, bi in zip(coeffs[1:], weights[1:], bias[1:]):
+        w += c * wi
+        b += c * bi
     return ParamVector(w, b)
 
 
@@ -161,14 +167,18 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def prepare_experiment(cfg: ExperimentConfig) -> ExperimentData:
+def prepare_experiment(
+    cfg: ExperimentConfig, datasets: tuple[Dataset, Dataset] | None = None
+) -> ExperimentData:
     """Validate the config, build the datasets, and partition the train set.
 
-    A file() dataset's size is known only once it is read, so a partition it
-    cannot hold raises a ConfigError naming the ``partition`` key here.
+    Pass ``datasets`` to reuse a (train, test) pair already built for the
+    config's dataset.  A file() dataset's size is known only once it is read,
+    so a partition it cannot hold raises a ConfigError naming the
+    ``partition`` key here.
     """
     validate_config(cfg)
-    train, test = build_datasets(cfg)
+    train, test = datasets if datasets is not None else build_datasets(cfg)
     pkey = derive(cfg.seed, PARTITION_STREAM)
     try:
         if cfg.partition_mode == "iid":
@@ -204,21 +214,17 @@ def run_federation(
     history: list[RoundReport] = []
     for r in range(cfg.rounds):
         selected = select_clients(len(data.splits), cfg.fraction, cfg.seed, r)
+        splits = [data.splits[c] for c in selected]
+        seeds = [derive(cfg.seed, LOCAL_STREAM, r, c) for c in selected]
         try:
-            updates = train_cohort(
-                params,
-                data.train,
-                [data.splits[c] for c in selected],
-                h,
-                [derive(cfg.seed, LOCAL_STREAM, r, c) for c in selected],
-            )
+            weights, bias, losses = train_cohort(params, data.train, splits, h, seeds)
         except DivergenceError as exc:
             raise ValueError(f"round {r}, {exc}") from None
-        params = aggregate(updates, cfg.weighting)
+        params = aggregate(weights, bias, [s.n_samples for s in splits], cfg.weighting)
         report = RoundReport(
             round_index=r,
             selected_clients=tuple(selected),
-            client_losses=tuple(u.mean_final_epoch_loss for u in updates),
+            client_losses=tuple(losses.tolist()),
             test_accuracy=accuracy(params, data.test),
         )
         history.append(report)

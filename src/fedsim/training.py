@@ -22,7 +22,6 @@ __all__ = [
     "OBJECTIVES",
     "DivergenceError",
     "HyperParams",
-    "LocalUpdate",
     "train_cohort",
 ]
 
@@ -59,19 +58,6 @@ class HyperParams:
             raise ValueError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
             )
-
-
-@dataclass(frozen=True)
-class LocalUpdate:
-    """What a client sends back: new parameters, sample count, last-epoch loss."""
-
-    params: ParamVector
-    n_samples: int
-    mean_final_epoch_loss: float
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 class DivergenceError(ValueError):
@@ -129,7 +115,7 @@ def train_cohort(
     splits: Sequence[ClientSplit],
     h: HyperParams,
     seeds: Sequence[SeedKey],
-) -> list[LocalUpdate]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run ``h.local_epochs`` epochs of mini-batch SGD for each client, in lockstep.
 
     Client i starts from a copy of ``w_g``.  Each epoch reshuffles its split's
@@ -137,13 +123,14 @@ def train_cohort(
     batches of ``h.batch_size`` in order, keeping the final partial batch.
     Gradients are means over the batch; the fedprox gradient adds
     ``mu * (w - w_g)``.  The reported loss is the mean per-batch objective of
-    the final epoch, measured before each step.  Returns one update per split,
-    in the given order.  Pure function of its arguments: identical inputs give
-    bit-identical updates.
+    the final epoch, measured before each step.  Returns the cohort as one
+    stack, ``(weights (m, C, d), bias (m, C), losses (m,))``, whose row i is
+    the client of ``splits[i]``.  Pure function of its arguments: identical
+    inputs give bit-identical rows.
 
     At each step, the clients whose batches have the same length go through
     the kernel as one stack, so each client's matmuls and reductions keep the
-    shapes they have when it trains alone: a client's update is bit-identical
+    shapes they have when it trains alone: a client's row is bit-identical
     whichever clients share its cohort.  An overflow or invalid value, or a
     squared update norm ``||w_i - w_g||^2`` that overflows at the end of an
     epoch, raises DivergenceError naming the first client, in the given
@@ -204,12 +191,7 @@ def train_cohort(
         raise DivergenceError(
             f"client {splits[0].client_id}, epoch {epoch}: local training diverged"
         ) from None
-    updates = {}
-    for j, i in enumerate(rank):
-        steps = -(-sizes[j] // bs)
-        updates[i] = LocalUpdate(
-            params=ParamVector(w[j], b[j]),
-            n_samples=sizes[j],
-            mean_final_epoch_loss=float(losses[j, :steps].sum() / steps),
-        )
-    return [updates[i] for i in range(len(splits))]
+    steps = [-(-n // bs) for n in sizes]
+    mean_losses = np.array([losses[j, :k].sum() for j, k in enumerate(steps)]) / steps
+    back = np.argsort(rank)  # ranked rows back to the order of splits
+    return w[back], b[back], mean_losses[back]

@@ -31,6 +31,11 @@ def rand_batch(
     )
 
 
+def stack_params(*params: ParamVector) -> tuple[np.ndarray, np.ndarray]:
+    """Client parameters as the (weights, bias) row stacks aggregate takes."""
+    return np.stack([p.weights for p in params]), np.stack([p.bias for p in params])
+
+
 def same_params(a: ParamVector, b: ParamVector) -> bool:
     """Exact equality of weights and bias, shapes included."""
     return np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
@@ -106,20 +111,18 @@ def max_rel_err(analytic: ParamVector, numeric: ParamVector, floor: float = 1e-8
     return float((diff / np.maximum(scale, floor)).max())
 
 
-def scalar_weighted_mean(updates, weighting: str) -> ParamVector:
-    """Weighted mean of client updates: accumulate weight * value, divide by the total."""
-    n_classes, feature_dim = updates[0].params.weights.shape
-    wts = [
-        float(u.n_samples) if weighting == "datasize" else 1.0 for u in updates
-    ]
+def scalar_weighted_mean(weights, bias, n_samples, weighting: str) -> ParamVector:
+    """Weighted mean of client rows: accumulate weight * value, divide by the total."""
+    _, n_classes, feature_dim = weights.shape
+    wts = [float(n) if weighting == "datasize" else 1.0 for n in n_samples]
     total = sum(wts)
     w = [[0.0] * feature_dim for _ in range(n_classes)]
     b = [0.0] * n_classes
-    for wt, u in zip(wts, updates):
+    for wt, w_row, b_row in zip(wts, weights, bias):
         for c in range(n_classes):
             for j in range(feature_dim):
-                w[c][j] += wt * float(u.params.weights[c, j])
-            b[c] += wt * float(u.params.bias[c])
+                w[c][j] += wt * float(w_row[c, j])
+            b[c] += wt * float(b_row[c])
     for c in range(n_classes):
         for j in range(feature_dim):
             w[c][j] /= total

@@ -30,7 +30,6 @@ from fedsim.federation import (
     select_clients,
 )
 from fedsim.seeds import derive
-from fedsim.training import LocalUpdate
 from oracles import (
     audit_shard_partition,
     fd_gradient,
@@ -110,26 +109,24 @@ def test_aggregation_matches_scalar_oracle_and_permutation():
         k = int(rng.integers(1, 11))
         n_classes = int(rng.integers(2, 5))
         dim = int(rng.integers(2, 7))
-        updates = [
-            LocalUpdate(rand_params(rng, n_classes, dim), int(rng.integers(1, 101)), 0.0)
-            for _ in range(k)
-        ]
-        shuffled = [updates[i] for i in rng.permutation(k)]
+        weights = rng.normal(size=(k, n_classes, dim))
+        bias = rng.normal(size=(k, n_classes))
+        n = rng.integers(1, 101, size=k)
+        perm = rng.permutation(k)
         for weighting in ("datasize", "uniform"):
-            combined = aggregate(updates, weighting)
+            combined = aggregate(weights, bias, n, weighting)
             worst_oracle = max(
                 worst_oracle,
-                max_abs_diff(combined, scalar_weighted_mean(updates, weighting)),
+                max_abs_diff(combined, scalar_weighted_mean(weights, bias, n, weighting)),
             )
-            worst_perm = max(
-                worst_perm, max_abs_diff(combined, aggregate(shuffled, weighting))
-            )
+            permuted = aggregate(weights[perm], bias[perm], n[perm], weighting)
+            worst_perm = max(worst_perm, max_abs_diff(combined, permuted))
     ok = worst_oracle <= 1e-12 and worst_perm <= 1e-12
     verdict(
         "aggregation-oracle",
         ok,
-        f"200 update lists, both weightings: max |diff| vs scalar oracle "
-        f"{worst_oracle:.2e}, vs permuted input {worst_perm:.2e} (tolerance 1e-12)",
+        f"200 client stacks, both weightings: max |diff| vs scalar oracle "
+        f"{worst_oracle:.2e}, vs permuted rows {worst_perm:.2e} (tolerance 1e-12)",
     )
 
 

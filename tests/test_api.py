@@ -11,7 +11,6 @@ EXPORTS = [
     "FederationResult",
     "FileData",
     "HyperParams",
-    "LocalUpdate",
     "ParamVector",
     "RoundReport",
     "ServerState",

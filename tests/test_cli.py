@@ -13,7 +13,7 @@ import pytest
 import fedsim
 from fedsim.cli import cmd_inspect_partition, cmd_run, cmd_suite, main
 from fedsim.config import ConfigError, config_fingerprint, load_config, parse_config
-from fedsim.data import Dataset, format_float, save_dataset
+from fedsim.data import Dataset, format_float, load_dataset, save_dataset
 from fedsim.evaluation import summarize_accuracies
 from fedsim.federation import select_clients
 
@@ -271,6 +271,47 @@ def test_file_dataset_partition_errors_name_the_key(tmp_path, capsys, setting, m
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: partition: {message}\n"
     assert not out.exists()
+
+
+def write_file_suite(tmp_path, partitions):
+    """A suite config over a 12-row, 3-class file() dataset and 2 clients."""
+    data = tmp_path / "twelve.csv"
+    rows = [[float(i), 1.0, 0.0] for i in range(12)]
+    save_dataset(Dataset(rows, [i % 3 for i in range(12)], 3), data)
+    cfg_path = tmp_path / "file_suite.cfg"
+    cfg_path.write_text(
+        f"rounds = 1\nn_clients = 2\npartitions = {partitions}\nseeds = 0, 1\n"
+        f"dataset = file(train={data}, test={data})\n",
+        encoding="utf-8",
+    )
+    return cfg_path
+
+
+def test_suite_partitions_every_file_cell_before_the_first_run(tmp_path, capsys):
+    # The iid cell fits, but 2 clients x 10 shards exceed the 12 rows, which
+    # only reading the file shows: nothing runs and nothing is written.
+    cfg_path = write_file_suite(tmp_path, "iid, shards(10)")
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partition: 20 shards cannot be built from 12 samples\n"
+    assert not out.exists()
+
+
+def test_suite_reads_a_file_dataset_once(tmp_path, capsys, monkeypatch):
+    reads = []
+
+    def counting_load(path):
+        reads.append(path)
+        return load_dataset(path)
+
+    monkeypatch.setattr("fedsim.federation.load_dataset", counting_load)
+    cfg_path = write_file_suite(tmp_path, "iid, shards(2)")
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert len(reads) == 2  # train and test, for 2 cells x 2 seeds
+    assert len(read_rows(out / "table.csv")) == 3
 
 
 def test_suite_runs_bare_and_explicit_mu_cells_to_completion(tmp_path, capsys):

@@ -275,6 +275,10 @@ def test_load_dataset_errors(tmp_path):
     p.write_text("2,2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no samples"):
         load_dataset(p)
+    p.write_text("0,2\n0\n1\n", encoding="utf-8")
+    want = f"{p}: header feature_dim must be >= 1, got 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        load_dataset(p)
 
 
 @pytest.mark.parametrize(

@@ -56,14 +56,14 @@ def test_centralized_train_is_full_split_local_train():
     d = generate_synthetic(50, 3, 5, 3.0, 1)
     h = HyperParams(batch_size=16)
     got = centralized_train(d, h, 4, 7)
-    (want,) = train_cohort(
+    weights, bias, _ = train_cohort(
         ParamVector.zeros(3, 5),
         d,
         [ClientSplit(0, np.arange(50))],
         replace(h, local_epochs=4),
         [derive(7, LOCAL_STREAM, 0, 0)],
     )
-    assert same_params(got, want.params)
+    assert same_params(got, ParamVector(weights[0], bias[0]))
 
 
 def test_centralized_train_ignores_proximal_setting():

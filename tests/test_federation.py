@@ -17,8 +17,8 @@ from fedsim.federation import (
 )
 from fedsim.model import ParamVector
 from fedsim.seeds import LOCAL_STREAM, derive
-from fedsim.training import LocalUpdate, train_cohort
-from oracles import max_abs_diff, rand_params, same_params, scalar_weighted_mean
+from fedsim.training import train_cohort
+from oracles import max_abs_diff, rand_params, same_params, scalar_weighted_mean, stack_params
 
 
 def tiny_config(**overrides):
@@ -84,62 +84,65 @@ def test_aggregate_two_clients_closed_form():
     rng = np.random.default_rng(1)
     a = rand_params(rng, 3, 4)
     b = rand_params(rng, 3, 4)
-    out = aggregate([LocalUpdate(a, 1, 0.0), LocalUpdate(b, 3, 0.0)], "datasize")
+    weights, bias = stack_params(a, b)
+    out = aggregate(weights, bias, [1, 3], "datasize")
     assert np.array_equal(out.weights, 0.25 * a.weights + 0.75 * b.weights)
     assert np.array_equal(out.bias, 0.25 * a.bias + 0.75 * b.bias)
-    uniform = aggregate([LocalUpdate(a, 1, 0.0), LocalUpdate(b, 3, 0.0)], "uniform")
+    uniform = aggregate(weights, bias, [1, 3], "uniform")
     assert np.array_equal(uniform.weights, 0.5 * a.weights + 0.5 * b.weights)
 
 
 def test_aggregate_equal_sizes_make_weightings_agree():
     rng = np.random.default_rng(2)
-    ups = [LocalUpdate(rand_params(rng, 2, 3), 5, 0.0) for _ in range(4)]
-    assert same_params(aggregate(ups, "datasize"), aggregate(ups, "uniform"))
+    weights, bias = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2))
+    assert same_params(
+        aggregate(weights, bias, [5] * 4, "datasize"),
+        aggregate(weights, bias, [5] * 4, "uniform"),
+    )
 
 
 def test_aggregate_single_update_is_identity():
     rng = np.random.default_rng(3)
     p = rand_params(rng, 2, 3)
-    assert same_params(aggregate([LocalUpdate(p, 9, 0.0)], "datasize"), p)
-    assert same_params(aggregate([LocalUpdate(p, 9, 0.0)], "uniform"), p)
+    weights, bias = stack_params(p)
+    assert same_params(aggregate(weights, bias, [9], "datasize"), p)
+    assert same_params(aggregate(weights, bias, [9], "uniform"), p)
 
 
 def test_aggregate_matches_scalar_oracle():
     rng = np.random.default_rng(4)
     for _ in range(20):
         k = int(rng.integers(1, 11))
-        ups = [
-            LocalUpdate(rand_params(rng, 3, 4), int(rng.integers(1, 100)), 0.0)
-            for _ in range(k)
-        ]
+        weights, bias = rng.normal(size=(k, 3, 4)), rng.normal(size=(k, 3))
+        n = rng.integers(1, 100, size=k).tolist()
         for weighting in ("datasize", "uniform"):
-            got = aggregate(ups, weighting)
-            assert max_abs_diff(got, scalar_weighted_mean(ups, weighting)) < 1e-12
+            got = aggregate(weights, bias, n, weighting)
+            want = scalar_weighted_mean(weights, bias, n, weighting)
+            assert max_abs_diff(got, want) < 1e-12
 
 
 def test_aggregate_permutation_invariant_within_tolerance():
     rng = np.random.default_rng(5)
-    ups = [
-        LocalUpdate(rand_params(rng, 3, 4), int(rng.integers(1, 50)), 0.0)
-        for _ in range(7)
-    ]
-    base = aggregate(ups, "datasize")
-    perm = [ups[i] for i in rng.permutation(7)]
-    assert max_abs_diff(base, aggregate(perm, "datasize")) < 1e-12
+    weights, bias = rng.normal(size=(7, 3, 4)), rng.normal(size=(7, 3))
+    n = rng.integers(1, 50, size=7)
+    base = aggregate(weights, bias, n, "datasize")
+    perm = rng.permutation(7)
+    permuted = aggregate(weights[perm], bias[perm], n[perm], "datasize")
+    assert max_abs_diff(base, permuted) < 1e-12
 
 
 def test_aggregate_errors():
     rng = np.random.default_rng(6)
-    with pytest.raises(ValueError, match="non-empty"):
-        aggregate([], "datasize")
+    weights, bias = rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2))
+    with pytest.raises(ValueError, match="at least one row"):
+        aggregate(weights[:0], bias[:0], [], "datasize")
     with pytest.raises(ValueError, match="weighting"):
-        aggregate([LocalUpdate(rand_params(rng, 2, 3), 1, 0.0)], "mean")
-    mixed = [
-        LocalUpdate(rand_params(rng, 2, 3), 1, 0.0),
-        LocalUpdate(rand_params(rng, 2, 4), 1, 0.0),
-    ]
-    with pytest.raises(ValueError, match="shapes differ"):
-        aggregate(mixed, "uniform")
+        aggregate(weights, bias, [1, 1], "mean")
+    for bad_bias, n in [(bias[:1], [1, 1]), (bias[:, :1], [1, 1]), (bias, [1])]:
+        with pytest.raises(ValueError, match="do not agree"):
+            aggregate(weights, bad_bias, n, "uniform")
+    with pytest.raises(ValueError, match=r"n_samples must be >= 1, got 0"):
+        aggregate(weights, bias, [3, 0], "datasize")
 
 
 def one_round(cfg, data):
@@ -175,11 +178,13 @@ def test_one_round_matches_clients_trained_alone():
         train_cohort(
             zeros, data.train, [s], cfg.hyperparams(),
             [derive(cfg.seed, LOCAL_STREAM, 0, s.client_id)],
-        )[0]
+        )
         for s in data.splits
     ]
-    assert report.client_losses == tuple(u.mean_final_epoch_loss for u in alone)
-    assert same_params(params, aggregate(alone))
+    assert report.client_losses == tuple(float(losses[0]) for _, _, losses in alone)
+    weights = np.concatenate([w for w, _, _ in alone])
+    bias = np.concatenate([b for _, b, _ in alone])
+    assert same_params(params, aggregate(weights, bias, [s.n_samples for s in data.splits]))
 
 
 def test_one_round_client_losses_do_not_depend_on_cohort():

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.data import ClientSplit, Dataset, generate_synthetic
+from fedsim.federation import aggregate
 from fedsim.model import ParamVector, loss_grad
 from fedsim.seeds import derive, key_rng
-from fedsim.training import DivergenceError, HyperParams, LocalUpdate, train_cohort
+from fedsim.training import DivergenceError, HyperParams, train_cohort
 from oracles import same_params
 
 
@@ -19,9 +20,9 @@ def small_problem(seed=0, n=40, n_classes=3, dim=5):
 
 
 def local_train(w_g, data, split, h, seed):
-    """One client trained alone: a cohort of one."""
-    (update,) = train_cohort(w_g, data, [split], h, [seed])
-    return update
+    """One client trained alone, a cohort of one: its parameters and loss."""
+    weights, bias, losses = train_cohort(w_g, data, [split], h, [seed])
+    return ParamVector(weights[0], bias[0]), float(losses[0])
 
 
 def test_hyperparams_defaults():
@@ -50,9 +51,11 @@ def test_hyperparams_validation():
 
 
 def test_local_update_requires_positive_samples():
-    p = ParamVector.zeros(2, 3)
+    # A trained client row is only averaged with a sample count of at least one.
+    d, split, w0 = small_problem(seed=2, n=8)
+    weights, bias, _ = train_cohort(w0, d, [split], HyperParams(batch_size=8), [5])
     with pytest.raises(ValueError, match="n_samples"):
-        LocalUpdate(p, 0, 0.5)
+        aggregate(weights, bias, [0], "datasize")
 
 
 def test_proximal_penalty_closed_form():
@@ -63,13 +66,13 @@ def test_proximal_penalty_closed_form():
     h = HyperParams(
         learning_rate=0.05, batch_size=24, local_epochs=2, mu=5.0, objective="fedprox"
     )
-    upd = local_train(w0, d, split, h, 11)
+    _, loss = local_train(w0, d, split, h, 11)
     _, gw, gb = loss_grad(w0.weights, w0.bias, d.features, d.labels)
     w1, b1 = w0.weights - 0.05 * gw, w0.bias - 0.05 * gb
     ce1 = float(loss_grad(w1, b1, d.features, d.labels)[0])
     penalty = 0.5 * 5.0 * 0.05**2 * float((gw * gw).sum() + (gb * gb).sum())
     assert penalty > 1e-3
-    assert upd.mean_final_epoch_loss == pytest.approx(ce1 + penalty, rel=1e-12)
+    assert loss == pytest.approx(ce1 + penalty, rel=1e-12)
 
 
 def test_local_objective_adds_penalty_only_for_fedprox():
@@ -80,30 +83,31 @@ def test_local_objective_adds_penalty_only_for_fedprox():
         h = HyperParams(batch_size=8, mu=mu, objective=objective)
         return local_train(w0, d, split, h, 0)
 
-    plain, ignored = run("fedavg", 0.0), run("fedavg", 5.0)
-    assert same_params(plain.params, ignored.params)
-    assert plain.mean_final_epoch_loss == ignored.mean_final_epoch_loss
-    assert run("fedprox", 5.0).mean_final_epoch_loss != plain.mean_final_epoch_loss
+    plain, plain_loss = run("fedavg", 0.0)
+    ignored, ignored_loss = run("fedavg", 5.0)
+    assert same_params(plain, ignored)
+    assert plain_loss == ignored_loss
+    assert run("fedprox", 5.0)[1] != plain_loss
 
 
 def test_local_train_zero_learning_rate_is_identity():
     d, split, w0 = small_problem()
     h = HyperParams(learning_rate=0.0, batch_size=8, local_epochs=3)
-    upd = local_train(w0, d, split, h, 4)
-    assert same_params(upd.params, w0)
-    assert upd.n_samples == 40
+    weights, bias, losses = train_cohort(w0, d, [split], h, [4])
+    assert (weights.shape, bias.shape, losses.shape) == ((1, 3, 5), (1, 3), (1,))
+    assert same_params(ParamVector(weights[0], bias[0]), w0)
 
 
 def test_local_train_single_batch_step_is_gradient_descent():
     # One epoch, one full batch: the update must be exactly w - lr * grad.
     d, split, w0 = small_problem(seed=3, n=24)
     h = HyperParams(learning_rate=0.05, batch_size=24, local_epochs=1)
-    upd = local_train(w0, d, split, h, 11)
+    params, got_loss = local_train(w0, d, split, h, 11)
     order = key_rng(derive(11, 0)).permutation(split.indices)
     loss, gw, gb = loss_grad(w0.weights, w0.bias, d.features[order], d.labels[order])
-    assert np.array_equal(upd.params.weights, w0.weights - 0.05 * gw)
-    assert np.array_equal(upd.params.bias, w0.bias - 0.05 * gb)
-    assert upd.mean_final_epoch_loss == float(loss)
+    assert np.array_equal(params.weights, w0.weights - 0.05 * gw)
+    assert np.array_equal(params.bias, w0.bias - 0.05 * gb)
+    assert got_loss == float(loss)
 
 
 def sgd_reference(w_g, data, split, h, seed):
@@ -138,10 +142,10 @@ def test_local_train_matches_reference_loop(objective, mu):
     h = HyperParams(
         learning_rate=0.02, batch_size=16, local_epochs=3, mu=mu, objective=objective
     )
-    upd = local_train(w0, d, split, h, 21)
+    params, loss = local_train(w0, d, split, h, 21)
     want_params, want_loss = sgd_reference(w0, d, split, h, 21)
-    assert same_params(upd.params, want_params)
-    assert upd.mean_final_epoch_loss == want_loss
+    assert same_params(params, want_params)
+    assert loss == want_loss
 
 
 def test_fedprox_mu_zero_matches_fedavg_exactly():
@@ -153,8 +157,8 @@ def test_fedprox_mu_zero_matches_fedavg_exactly():
         prox = local_train(
             w0, d, split, HyperParams(batch_size=16, objective="fedprox", mu=0.0), seed
         )
-        assert same_params(avg.params, prox.params)
-        assert avg.mean_final_epoch_loss == prox.mean_final_epoch_loss
+        assert same_params(avg[0], prox[0])
+        assert avg[1] == prox[1]
 
 
 def test_fedprox_nonzero_mu_changes_the_update():
@@ -163,7 +167,7 @@ def test_fedprox_nonzero_mu_changes_the_update():
     prox = local_train(
         w0, d, split, HyperParams(batch_size=8, objective="fedprox", mu=1.0), 0
     )
-    assert not same_params(avg.params, prox.params)
+    assert not same_params(avg[0], prox[0])
 
 
 def test_final_epoch_loss_nonincreasing_with_more_epochs():
@@ -180,7 +184,7 @@ def test_final_epoch_loss_nonincreasing_with_more_epochs():
                 split,
                 HyperParams(batch_size=32, local_epochs=e),
                 seed,
-            ).mean_final_epoch_loss
+            )[1]
             for e in range(1, 11)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -194,9 +198,9 @@ def test_proximal_term_shrinks_drift():
 
     def drift(mu):
         h = HyperParams(batch_size=32, local_epochs=3, mu=mu, objective="fedprox")
-        upd = local_train(w0, d, split, h, 0)
-        dw = upd.params.weights - w0.weights
-        db = upd.params.bias - w0.bias
+        params, _ = local_train(w0, d, split, h, 0)
+        dw = params.weights - w0.weights
+        db = params.bias - w0.bias
         return float(np.sqrt((dw * dw).sum() + (db * db).sum()))
 
     assert drift(100.0) < drift(10.0) < drift(0.0)
@@ -231,7 +235,7 @@ def test_cohort_update_is_bit_identical_to_training_alone(
     sizes, batch_size, local_epochs, objective, draw
 ):
     # Clients of random sizes (most leave a ragged final batch) train as a
-    # random subset in a random order; each must match its solo run exactly.
+    # random subset in a random order; each row must match its solo run exactly.
     d = generate_synthetic(200, 3, 5, 3.0, 0)
     bounds = np.cumsum([0, *sizes])
     splits = [ClientSplit(c, np.arange(bounds[c], bounds[c + 1])) for c in range(len(sizes))]
@@ -246,12 +250,15 @@ def test_cohort_update_is_bit_identical_to_training_alone(
         mu=objective[1],
         objective=objective[0],
     )
-    together = train_cohort(w0, d, [splits[c] for c in cohort], h, [(7, c) for c in cohort])
-    for c, got in zip(cohort, together):
-        alone = local_train(w0, d, splits[c], h, (7, c))
-        assert same_params(got.params, alone.params)
-        assert got.mean_final_epoch_loss == alone.mean_final_epoch_loss
-        assert got.n_samples == alone.n_samples == sizes[c]
+    weights, bias, losses = train_cohort(
+        w0, d, [splits[c] for c in cohort], h, [(7, c) for c in cohort]
+    )
+    m = len(cohort)
+    assert (weights.shape, bias.shape, losses.shape) == ((m, 3, 5), (m, 3), (m,))
+    for i, c in enumerate(cohort):
+        alone, loss = local_train(w0, d, splits[c], h, (7, c))
+        assert same_params(ParamVector(weights[i], bias[i]), alone)
+        assert losses[i] == loss
 
 
 def test_divergence_names_the_first_diverging_client_and_epoch():
