@@ -10,6 +10,9 @@ of shards, which caps the number of distinct labels a client can hold.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,49 +326,98 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Rows per formatted write: large enough that the per-block Python overhead
+# vanishes, small enough that a block's text stays a few megabytes.
+_ROWS_PER_BLOCK = 4096
+
+
 def save_dataset(d: Dataset, path: str) -> None:
-    """Write ``feature_dim,n_classes`` then one ``label,f1,f2,...`` line per sample."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{d.feature_dim},{d.n_classes}\n")
-        for i in range(d.n_samples):
-            row = ",".join(format_float(v) for v in d.features[i])
-            f.write(f"{d.labels[i]},{row}\n")
+    """Write ``feature_dim,n_classes`` then one ``label,f1,f2,...`` line per sample.
+
+    Floats carry format_float's digits.  The file is written under a temporary
+    name beside ``path`` and renamed over it once complete, so ``path`` never
+    holds a partial dataset.
+    """
+    row = "%d" + ",%.17g" * d.feature_dim + "\n"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.write(f"{d.feature_dim},{d.n_classes}\n")
+            for i in range(0, d.n_samples, _ROWS_PER_BLOCK):
+                # Labels lie below n_classes, far under 2**53, so the float64
+                # column holds them exactly and %d prints them as integers.
+                block = np.column_stack(
+                    (d.labels[i : i + _ROWS_PER_BLOCK], d.features[i : i + _ROWS_PER_BLOCK])
+                )
+                f.write(row * len(block) % tuple(block.ravel().tolist()))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _parse_rows(lines, feature_dim: int) -> np.ndarray:
+    """Parse ``label,f1,...`` lines into a table with fields ``y`` and ``x``."""
+    row = np.dtype([("y", np.int64), ("x", np.float64, (feature_dim,))])
+    return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+
+
+def _raise_at_first_bad_line(path: str, numbered_lines, feature_dim: int) -> None:
+    """Raise naming the first ``(lineno, line)`` that _parse_rows rejects."""
+    width = feature_dim + 1
+    for lineno, line in numbered_lines:
+        if line == "\n":
+            continue
+        fields = line.count(",") + 1
+        if fields != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {fields}")
+        try:
+            _parse_rows([line], feature_dim)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed number") from None
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset written by save_dataset."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        parts = header.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: header must be 'feature_dim,n_classes'")
-        try:
-            feature_dim, n_classes = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}: header must hold two integers") from None
-        if feature_dim < 1:
-            raise ValueError(f"{path}: header feature_dim must be >= 1, got {feature_dim}")
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != feature_dim + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {feature_dim + 1} fields, "
-                    f"got {len(fields)}"
-                )
-            try:
-                labels.append(int(fields[0]))
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed number") from None
-    if not rows:
-        raise ValueError(f"{path}: no samples")
+    """Read a dataset written by save_dataset.
+
+    After the header, empty lines are skipped and every other line holds an
+    integer label and ``feature_dim`` floats, comma-separated.  An error names
+    the first line that breaks this.
+    """
     try:
-        return Dataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes)
+        with open(path, "r", encoding="utf-8") as f:
+            header = f.readline().strip()
+            parts = header.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: header must be 'feature_dim,n_classes'")
+            try:
+                feature_dim, n_classes = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}: header must hold two integers") from None
+            if feature_dim < 1:
+                raise ValueError(f"{path}: header feature_dim must be >= 1, got {feature_dim}")
+            first = next((item for item in enumerate(f, start=2) if item[1] != "\n"), None)
+            if first is None:
+                raise ValueError(f"{path}: no samples")
+            # A first row as wide as the header says bounds feature_dim by the
+            # file size before the row dtype is sized from it.
+            _raise_at_first_bad_line(path, [first], feature_dim)
+            try:
+                table = _parse_rows(itertools.chain([first[1]], f), feature_dim)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                # Rescan for the line number; a pipe cannot be reread.
+                if f.seekable():
+                    f.seek(0)
+                    f.readline()
+                    _raise_at_first_bad_line(path, enumerate(f, start=2), feature_dim)
+                raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        return Dataset(table["x"], table["y"], n_classes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -139,6 +139,14 @@ def max_abs_diff(a: ParamVector, b: ParamVector) -> float:
     )
 
 
+def dataset_text(dataset) -> str:
+    """A dataset file's text, formatted one value at a time with format(v, ".17g")."""
+    lines = [f"{dataset.feature_dim},{dataset.n_classes}\n"]
+    for label, row in zip(dataset.labels, dataset.features):
+        lines.append(f"{label}," + ",".join(format(float(v), ".17g") for v in row) + "\n")
+    return "".join(lines)
+
+
 def audit_shard_partition(dataset, part, n_clients: int, shards_per_client: int) -> None:
     """Assert the four structural invariants of a label-sharded partition."""
     assert len(part.splits) == n_clients

@@ -273,6 +273,26 @@ def test_file_dataset_partition_errors_name_the_key(tmp_path, capsys, setting, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"2,3\n0,1,2\n99999999999999999999,3,4\n2,5,6\n", "{path}:3: malformed number"),
+        (b"2,3\n0,1,2\n1,\xff,4\n2,5,6\n",
+         "{path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    ],
+    ids=["oversized-label", "not-utf8"],
+)
+def test_run_reports_a_bad_dataset_file_in_one_line(tmp_path, capsys, raw, message):
+    data = tmp_path / "data.csv"
+    data.write_bytes(raw)
+    cfg_path = tmp_path / "file.cfg"
+    cfg_path.write_text(f"dataset = file(train={data}, test={data})\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: " + message.format(path=data) + "\n"
+    assert not out.exists()
+
+
 def write_file_suite(tmp_path, partitions):
     """A suite config over a 12-row, 3-class file() dataset and 2 clients."""
     data = tmp_path / "twelve.csv"

@@ -1,9 +1,13 @@
 """Synthetic data generation, partitioning, and the text file formats."""
 
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.data import (
     ClientSplit,
@@ -21,7 +25,7 @@ from fedsim.data import (
     save_partition,
     synthetic_train_test,
 )
-from oracles import audit_shard_partition
+from oracles import audit_shard_partition, dataset_text
 
 
 def test_dataset_validation():
@@ -295,6 +299,134 @@ def test_load_dataset_names_the_file_when_rows_are_invalid(tmp_path, rows, messa
     p.write_text("2,3\n" + rows, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_dataset(p)
+
+
+# Signed zeros, the smallest subnormal, the smallest normal, and the extremes.
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def datasets(draw):
+    n_classes = draw(st.integers(1, 12))
+    feature_dim = draw(st.integers(1, 6))
+    extra = draw(st.lists(st.integers(0, n_classes - 1), max_size=10))
+    labels = draw(st.permutations(list(range(n_classes)) + extra))
+    values = st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+    features = draw(st.lists(values, min_size=len(labels) * feature_dim,
+                             max_size=len(labels) * feature_dim))
+    return Dataset(np.array(features).reshape(len(labels), feature_dim), labels, n_classes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=datasets())
+def test_dataset_file_matches_per_value_writer_and_loads_bit_exact(tmp_path_factory, d):
+    path = tmp_path_factory.mktemp("roundtrip") / "data.csv"
+    save_dataset(d, path)
+    assert path.read_bytes() == dataset_text(d).encode("utf-8")
+    loaded = load_dataset(path)
+    assert loaded.n_classes == d.n_classes
+    assert np.array_equal(loaded.features.view(np.uint64), d.features.view(np.uint64))
+    assert np.array_equal(loaded.labels, d.labels)
+
+
+def test_save_dataset_rows_span_write_blocks(tmp_path):
+    # Rows are formatted 4096 at a time: two full blocks and a partial one.
+    d = generate_synthetic(2 * 4096 + 3, 3, 3, 2.5, 5)
+    path = tmp_path / "data.csv"
+    save_dataset(d, path)
+    assert path.read_text(encoding="utf-8") == dataset_text(d)
+
+
+def test_save_dataset_replaces_an_existing_file_whole(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("stale\n" * 1000, encoding="utf-8")
+    d = generate_synthetic(9, 3, 3, 2.0, 1)
+    save_dataset(d, path)
+    assert path.read_text(encoding="utf-8") == dataset_text(d)
+    assert os.listdir(tmp_path) == ["data.csv"]
+
+
+def test_save_dataset_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    # The new contents go to a temporary file that is renamed over the target
+    # only when complete; a failure before the rename leaves the old file.
+    path = tmp_path / "data.csv"
+    save_dataset(generate_synthetic(9, 3, 3, 2.0, 1), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="no space left"):
+        save_dataset(generate_synthetic(30, 3, 3, 2.0, 2), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["data.csv"]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("2,3\n0,1,2\n\n\n1,x,2\n2,5,6\n", "5: malformed number"),
+        ("2,3\n0,1,2\n#1,2,3\n2,5,6\n", "3: malformed number"),
+        ("2,3\n0,1,2\n  \n1,2,3\n2,5,6\n", "3: expected 3 fields, got 1"),
+        ("2,3\n0,1_0,2\n1,2,3\n2,5,6\n", "2: malformed number"),
+        ("2,3\n0,1,2\n1.0,2,3\n2,5,6\n", "3: malformed number"),
+        ("2,3\n0,1,2\n99999999999999999999,2,3\n2,5,6\n", "3: malformed number"),
+        ("2,3\n0,1,2\n1,2,3,4\n2,5,6\n", "3: expected 3 fields, got 4"),
+        ("1000000000,3\n0,1,2\n", "2: expected 1000000001 fields, got 3"),
+    ],
+    ids=["after-blank-lines", "hash-row", "whitespace-line", "digit-separator",
+         "float-label", "oversized-label", "wide-row", "header-wider-than-rows"],
+)
+def test_load_dataset_names_the_first_bad_line(tmp_path, text, where):
+    p = tmp_path / "bad.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{p}:{where}')}$"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"2,\xff3\n0,1,2\n1,3,4\n2,5,6\n",
+        b"2,3\n0,1,2\n1,\xff,4\n2,5,6\n",
+        # Past the first decoded chunk, so np.loadtxt meets the bad byte.
+        b"2,3\n" + b"0,1,2\n1,3,4\n2,5,6\n" * 2000 + b"1,\xff,4\n",
+    ],
+    ids=["header", "row", "late-row"],
+)
+def test_load_dataset_names_the_file_when_it_is_not_utf8(tmp_path, raw):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        load_dataset(p)
+    message = str(info.value)
+    assert message.startswith(f"{p}: 'utf-8' codec can't decode byte 0xff")
+    assert message.count(str(p)) == 1
+
+
+def test_load_dataset_reads_crlf_lines(tmp_path):
+    p = tmp_path / "crlf.csv"
+    p.write_bytes(b"2,3\r\n0,1,2\r\n\r\n1,3,4\r\n2,5,6\r\n")
+    d = load_dataset(p)
+    assert d.labels.tolist() == [0, 1, 2]
+    assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_dataset_reads_a_pipe(tmp_path):
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_text, args=("2,3\n0,1,2\n\n1,3,4\n2,5,6\n",),
+        kwargs={"encoding": "utf-8"}, daemon=True,
+    )
+    writer.start()
+    d = load_dataset(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert d.labels.tolist() == [0, 1, 2]
 
 
 def test_partition_file_roundtrip(tmp_path):
