@@ -4,7 +4,8 @@ The fedprox objective adds (mu/2) * ||w - w_global||^2 to the plain
 cross-entropy, which penalizes drifting away from the broadcast parameters
 during local epochs.  This is what keeps single-label clients from running
 off toward their own class.  Local training runs a round's clients as one
-lockstep cohort; a cohort of one is a single client.  Run:
+lockstep cohort; a cohort of one is a single client.  It takes the run's
+ExperimentConfig, of which only the training fields act.  Run:
 
     python3 demos/03_local_training.py
 """
@@ -12,7 +13,7 @@ lockstep cohort; a cohort of one is a single client.  Run:
 import numpy as np
 
 from fedsim import (
-    HyperParams,
+    ExperimentConfig,
     ParamVector,
     generate_synthetic,
     partition_shards,
@@ -20,9 +21,9 @@ from fedsim import (
 )
 
 
-def train_alone(anchor, data, split, h, seed):
+def train_alone(anchor, data, split, cfg, seed):
     """A cohort of one: the client's parameters and its final-epoch loss."""
-    weights, bias, losses = train_cohort(anchor, data, [split], h, [seed])
+    weights, bias, losses = train_cohort(anchor, data, [split], cfg, [seed])
     return ParamVector(weights[0], bias[0]), float(losses[0])
 
 
@@ -54,27 +55,27 @@ def main() -> None:
     print("\n10 local epochs from zero parameters:")
     print("  objective        mu     drift   final loss")
     for mu in (0.0, 1.0, 5.0, 20.0):
-        h = HyperParams(
+        cfg = ExperimentConfig(
+            method="fedprox",
+            mu=mu,
             learning_rate=0.05,
             batch_size=32,
             local_epochs=10,
-            mu=mu,
-            objective="fedprox",
         )
-        params, loss = train_alone(anchor, data, split, h, seed=0)
+        params, loss = train_alone(anchor, data, split, cfg, seed=0)
         print(f"  fedprox    {mu:>8.1f}  {drift(params, anchor):>8.4f}  {loss:>10.4f}")
 
-    plain = HyperParams(
-        learning_rate=0.05, batch_size=32, local_epochs=10, objective="fedavg"
+    plain = ExperimentConfig(
+        method="fedavg", learning_rate=0.05, batch_size=32, local_epochs=10
     )
     params, loss = train_alone(anchor, data, split, plain, seed=0)
     print(f"  fedavg            -  {drift(params, anchor):>8.4f}  {loss:>10.4f}")
 
     # mu = 0 makes the penalty vanish, so fedprox reproduces fedavg exactly,
     # down to the last bit.
-    zero = HyperParams(
+    zero = ExperimentConfig(
+        method="fedprox", mu=0.0,
         learning_rate=0.05, batch_size=32, local_epochs=10,
-        mu=0.0, objective="fedprox",
     )
     params_zero, _ = train_alone(anchor, data, split, zero, seed=0)
     print("\nfedprox(mu=0) bit-identical to fedavg:", bit_identical(params_zero, params))

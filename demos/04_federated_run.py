@@ -69,8 +69,7 @@ def main() -> None:
 
     # Pooled baseline with the same per-client epoch budget.
     pooled = centralized_train(
-        data.train, cfg.hyperparams(),
-        epochs=cfg.rounds * cfg.local_epochs, seed=cfg.seed,
+        data.train, cfg, epochs=cfg.rounds * cfg.local_epochs
     )
     base = accuracy(pooled, data.test)
     print(f"centralized baseline, {cfg.rounds * cfg.local_epochs} pooled "
@@ -82,10 +81,7 @@ def main() -> None:
         cfg, n_clients=1, fraction=1.0, rounds=1, local_epochs=6,
     )
     fed = run_federation(solo)
-    central = centralized_train(
-        prepare_experiment(solo).train, solo.hyperparams(), epochs=6,
-        seed=solo.seed,
-    )
+    central = centralized_train(prepare_experiment(solo).train, solo, epochs=6)
     final = fed.final_state.global_params
     print("\none client, full participation, bit-identical to centralized:",
           np.array_equal(final.weights, central.weights)

@@ -41,7 +41,7 @@ from .federation import (
     select_clients,
 )
 from .model import ParamVector
-from .training import HyperParams, train_cohort
+from .training import train_cohort
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "ExperimentData",
     "FederationResult",
     "FileData",
-    "HyperParams",
     "ParamVector",
     "RoundReport",
     "ServerState",

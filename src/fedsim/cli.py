@@ -27,7 +27,8 @@ from .config import (
     suite_cells,
     validate_config,
 )
-from .data import format_float, label_distribution, save_label_distribution, save_partition
+from .data import (atomic_write, format_float, label_distribution,
+                   save_label_distribution, save_partition)
 from .evaluation import accuracy, centralized_train, summarize_accuracies
 from .federation import (
     ExperimentData,
@@ -63,7 +64,7 @@ def _progress(quiet: bool, total: int) -> Callable[[RoundReport], None] | None:
 
 def write_rounds_csv(history: Sequence[RoundReport], path: Path) -> None:
     """One row per round; selected ids joined by ';', floats at 17 digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         f.write("round_index,selected_clients,mean_client_loss,test_accuracy\n")
         for rep in history:
             ids = ";".join(str(c) for c in rep.selected_clients)
@@ -75,7 +76,7 @@ def write_rounds_csv(history: Sequence[RoundReport], path: Path) -> None:
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -159,7 +160,7 @@ def cmd_suite(
         mean, std = summarize_accuracies(accs)
         rows.append((mt, pt, mean, std))
         print(f"{mt} {pt}: mean={mean:.4f} std={std:.4f}")
-    with open(out / "table.csv", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(out / "table.csv") as f:
         f.write("method,partition,mean_accuracy,std\n")
         for mt, pt, mean, std in rows:
             f.write(f"{mt},{pt},{format_float(mean)},{format_float(std)}\n")
@@ -203,7 +204,7 @@ def cmd_baseline(
     train, test = build_datasets(cfg)
     epochs = cfg.rounds * cfg.local_epochs
     _log(quiet, f"baseline: {epochs} epochs on {train.n_samples} pooled samples")
-    acc = accuracy(centralized_train(train, cfg.hyperparams(), epochs, cfg.seed), test)
+    acc = accuracy(centralized_train(train, cfg, epochs), test)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
         {

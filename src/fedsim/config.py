@@ -4,7 +4,7 @@ Config files are flat text, one ``key = value`` setting per line.  ``#``
 starts a comment and blank lines are ignored.  Keys:
 
     method         fedavg | fedprox                      (default fedavg)
-    mu             proximal coefficient, >= 0            (default 0.2)
+    mu             fedprox's proximal coefficient, >= 0  (default 0.2)
     n_clients      >= 1                                  (default 10)
     fraction       clients sampled per round, in (0, 1]  (default 0.5)
     rounds         communication rounds, >= 0            (default 100)
@@ -36,13 +36,12 @@ commas or '#'.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
-
-from .training import OBJECTIVES, HyperParams
 
 __all__ = [
     "ConfigError",
@@ -50,6 +49,7 @@ __all__ = [
     "FileData",
     "SyntheticData",
     "check_seeds",
+    "clients_per_round",
     "config_fingerprint",
     "config_to_dict",
     "load_config",
@@ -62,6 +62,7 @@ __all__ = [
     "validate_config",
 ]
 
+OBJECTIVES = ("fedavg", "fedprox")
 WEIGHTINGS = ("datasize", "uniform")
 
 
@@ -113,16 +114,6 @@ class ExperimentConfig:
     weighting: str = "datasize"
     suite_methods: tuple[str, ...] = ()
     suite_partitions: tuple[str, ...] = ()
-
-    def hyperparams(self) -> HyperParams:
-        """Local-training hyperparameters implied by this config."""
-        return HyperParams(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            local_epochs=self.local_epochs,
-            mu=self.mu,
-            objective=self.method,
-        )
 
     def method_token(self) -> str:
         return "fedavg" if self.method == "fedavg" else f"fedprox({self.mu!r})"
@@ -295,8 +286,13 @@ def _parse_partition_key(text: str) -> dict[str, Any]:
     return {"partition_mode": mode} | ({} if k is None else {"shards_per_client": k})
 
 
+def clients_per_round(n_clients: int, fraction: float) -> int:
+    """Clients selected per round: ``fraction * n_clients`` rounded half-up."""
+    return math.floor(fraction * n_clients + 0.5)
+
+
 def _check_selected(cfg: ExperimentConfig) -> None:
-    if int(cfg.fraction * cfg.n_clients + 0.5) < 1:
+    if clients_per_round(cfg.n_clients, cfg.fraction) < 1:
         raise ConfigError(f"fraction: {cfg.fraction} of {cfg.n_clients} clients "
                           "rounds to zero selected per round")
 

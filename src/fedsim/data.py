@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import os
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "Dataset",
     "ShardPartition",
     "allocate_shards",
+    "atomic_write",
     "format_float",
     "generate_synthetic",
     "label_distribution",
@@ -326,6 +328,28 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[TextIO]:
+    """Yield a UTF-8, LF-line-end text handle whose contents replace ``path``.
+
+    The handle writes a temporary file beside ``path``, renamed over it when
+    the block completes; if the block raises, ``path`` keeps what it held.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 # Rows per formatted write: large enough that the per-block Python overhead
 # vanishes, small enough that a block's text stays a few megabytes.
 _ROWS_PER_BLOCK = 4096
@@ -334,27 +358,19 @@ _ROWS_PER_BLOCK = 4096
 def save_dataset(d: Dataset, path: str) -> None:
     """Write ``feature_dim,n_classes`` then one ``label,f1,f2,...`` line per sample.
 
-    Floats carry format_float's digits.  The file is written under a temporary
-    name beside ``path`` and renamed over it once complete, so ``path`` never
-    holds a partial dataset.
+    Floats carry format_float's digits.  The file is written through
+    atomic_write, so ``path`` never holds a partial dataset.
     """
     row = "%d" + ",%.17g" * d.feature_dim + "\n"
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"{d.feature_dim},{d.n_classes}\n")
-            for i in range(0, d.n_samples, _ROWS_PER_BLOCK):
-                # Labels lie below n_classes, far under 2**53, so the float64
-                # column holds them exactly and %d prints them as integers.
-                block = np.column_stack(
-                    (d.labels[i : i + _ROWS_PER_BLOCK], d.features[i : i + _ROWS_PER_BLOCK])
-                )
-                f.write(row * len(block) % tuple(block.ravel().tolist()))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as f:
+        f.write(f"{d.feature_dim},{d.n_classes}\n")
+        for i in range(0, d.n_samples, _ROWS_PER_BLOCK):
+            # Labels lie below n_classes, far under 2**53, so the float64
+            # column holds them exactly and %d prints them as integers.
+            block = np.column_stack(
+                (d.labels[i : i + _ROWS_PER_BLOCK], d.features[i : i + _ROWS_PER_BLOCK])
+            )
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _parse_rows(lines, feature_dim: int) -> np.ndarray:
@@ -378,6 +394,19 @@ def _raise_at_first_bad_line(path: str, numbered_lines, feature_dim: int) -> Non
             raise ValueError(f"{path}:{lineno}: malformed number") from None
 
 
+def _decode_error(exc: UnicodeDecodeError, f: TextIO) -> str:
+    """The codec's message, with a seekable file's position counted from its start."""
+    if not f.seekable():
+        return str(exc)
+    # The codec counts from the start of the bytes it was given: the last chunk
+    # the text layer read, which ends where the buffer now stands.
+    first = f.buffer.tell() - len(exc.object) + exc.start
+    last = first + exc.end - exc.start - 1
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
+             else f"bytes in position {first}-{last}")
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a dataset written by save_dataset.
 
@@ -385,8 +414,8 @@ def load_dataset(path: str) -> Dataset:
     integer label and ``feature_dim`` floats, comma-separated.  An error names
     the first line that breaks this.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f:
+        try:
             header = f.readline().strip()
             parts = header.split(",")
             if len(parts) != 2:
@@ -414,8 +443,8 @@ def load_dataset(path: str) -> Dataset:
                     f.readline()
                     _raise_at_first_bad_line(path, enumerate(f, start=2), feature_dim)
                 raise ValueError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {_decode_error(exc, f)}") from None
     try:
         return Dataset(table["x"], table["y"], n_classes)
     except ValueError as exc:
@@ -424,7 +453,7 @@ def load_dataset(path: str) -> Dataset:
 
 def save_partition(splits: list[ClientSplit], path: str) -> None:
     """Write one ``client_id:index,index,...`` line per client."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         for s in splits:
             f.write(f"{s.client_id}:" + ",".join(str(i) for i in s.indices) + "\n")
 
@@ -433,7 +462,7 @@ def save_label_distribution(
     d: Dataset, splits: list[ClientSplit], path: str
 ) -> None:
     """Write a CSV of per-client label counts: client_id,class_0,...,class_k."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path) as f:
         names = ",".join(f"class_{c}" for c in range(d.n_classes))
         f.write(f"client_id,{names}\n")
         for s in splits:

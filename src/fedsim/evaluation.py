@@ -8,10 +8,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import ClientSplit, Dataset
 from .model import ParamVector
-from .seeds import LOCAL_STREAM, SeedKey, derive
-from .training import HyperParams, train_cohort
+from .seeds import LOCAL_STREAM, derive
+from .training import train_cohort
 
 __all__ = [
     "accuracy",
@@ -40,27 +41,22 @@ def accuracy(params: ParamVector, test: Dataset) -> float:
     return float((preds == test.labels).mean())
 
 
-def centralized_train(
-    train: Dataset, h: HyperParams, epochs: int, seed: SeedKey
-) -> ParamVector:
+def centralized_train(train: Dataset, cfg: ExperimentConfig, epochs: int) -> ParamVector:
     """Plain pooled SGD from zero-initialized parameters, no proximal term.
 
-    Uses the same seed streams as client 0 in round 0 of a federated run, so a
-    one-client, full-participation, one-round federation with ``local_epochs =
-    epochs`` reproduces this model exactly.
+    Trains at ``cfg``'s learning rate and batch size on the seed streams of
+    client 0 in round 0 of a run of ``cfg``, so a one-client, full-participation,
+    one-round federation with ``local_epochs = epochs`` reproduces it exactly.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     params = ParamVector.zeros(train.n_classes, train.feature_dim)
     if epochs == 0:
         return params
-    weights, bias, _ = train_cohort(
-        params,
-        train,
-        [ClientSplit(0, np.arange(train.n_samples))],
-        replace(h, local_epochs=epochs, objective="fedavg"),
-        [derive(seed, LOCAL_STREAM, 0, 0)],
-    )
+    pooled = ClientSplit(0, np.arange(train.n_samples))
+    weights, bias, _ = train_cohort(params, train, [pooled],
+                                    replace(cfg, local_epochs=epochs, method="fedavg"),
+                                    [derive(cfg.seed, LOCAL_STREAM, 0, 0)])
     return ParamVector(weights[0], bias[0])
 
 

@@ -9,13 +9,13 @@ clients share its round, and rows are averaged in ascending client-id order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import WEIGHTINGS, ConfigError, ExperimentConfig, SyntheticData, validate_config
+from .config import (WEIGHTINGS, ConfigError, ExperimentConfig, SyntheticData,
+                     clients_per_round, validate_config)
 from .data import (
     ClientSplit,
     Dataset,
@@ -81,11 +81,9 @@ def select_clients(
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    m = math.floor(fraction * n_clients + 0.5)
+    m = clients_per_round(n_clients, fraction)
     if m < 1:
-        raise ValueError(
-            f"fraction {fraction} of {n_clients} clients rounds to zero"
-        )
+        raise ValueError(f"fraction {fraction} of {n_clients} clients rounds to zero")
     rng = key_rng(derive(seed, SELECTION_STREAM, round_index))
     chosen = rng.choice(n_clients, size=m, replace=False)
     return sorted(int(c) for c in chosen)
@@ -209,7 +207,6 @@ def run_federation(
         data = prepare_experiment(cfg)
     else:
         validate_config(cfg)
-    h = cfg.hyperparams()
     params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
     history: list[RoundReport] = []
     for r in range(cfg.rounds):
@@ -217,7 +214,7 @@ def run_federation(
         splits = [data.splits[c] for c in selected]
         seeds = [derive(cfg.seed, LOCAL_STREAM, r, c) for c in selected]
         try:
-            weights, bias, losses = train_cohort(params, data.train, splits, h, seeds)
+            weights, bias, losses = train_cohort(params, data.train, splits, cfg, seeds)
         except DivergenceError as exc:
             raise ValueError(f"round {r}, {exc}") from None
         params = aggregate(weights, bias, [s.n_samples for s in splits], cfg.weighting)

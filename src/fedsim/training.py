@@ -8,56 +8,17 @@ parameter vector, held fixed across the client's local steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
+from .config import ExperimentConfig, validate_config
 from .data import ClientSplit, Dataset
 from .model import ParamVector, loss_grad
 from .seeds import SeedKey, derive, key_rng
 
-__all__ = [
-    "OBJECTIVES",
-    "DivergenceError",
-    "HyperParams",
-    "train_cohort",
-]
-
-OBJECTIVES = ("fedavg", "fedprox")
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Local-training knobs shared by every client in a run.
-
-    ``mu`` only takes effect when ``objective == "fedprox"``; under "fedavg"
-    the proximal term is identically zero no matter what mu holds.  A zero
-    learning rate is accepted so no-op limit checks can run; configs reject it.
-    """
-
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    local_epochs: int = 2
-    mu: float = 0.2
-    objective: str = "fedavg"
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(
-                f"learning_rate must be >= 0 and finite, got {self.learning_rate}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if not np.isfinite(self.mu) or self.mu < 0:
-            raise ValueError(f"mu must be >= 0 and finite, got {self.mu}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(
-                f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
-            )
+__all__ = ["DivergenceError", "train_cohort"]
 
 
 class DivergenceError(ValueError):
@@ -65,11 +26,10 @@ class DivergenceError(ValueError):
 
 
 def _check_cohort(
-    w_g: ParamVector,
-    data: Dataset,
-    splits: Sequence[ClientSplit],
-    seeds: Sequence[SeedKey],
+    w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit],
+    cfg: ExperimentConfig, seeds: Sequence[SeedKey],
 ) -> None:
+    validate_config(cfg)
     if not splits:
         raise ValueError("splits must be non-empty")
     if len(seeds) != len(splits):
@@ -110,20 +70,18 @@ def _step_groups(
 
 
 def train_cohort(
-    w_g: ParamVector,
-    data: Dataset,
-    splits: Sequence[ClientSplit],
-    h: HyperParams,
-    seeds: Sequence[SeedKey],
+    w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit],
+    cfg: ExperimentConfig, seeds: Sequence[SeedKey],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run ``h.local_epochs`` epochs of mini-batch SGD for each client, in lockstep.
+    """Run ``cfg.local_epochs`` epochs of mini-batch SGD for each client, in lockstep.
 
+    ``cfg``, checked first with validate_config, gives the training fields.
     Client i starts from a copy of ``w_g``.  Each epoch reshuffles its split's
     indices with its own stream, ``derive(seeds[i], epoch)``, then walks
-    batches of ``h.batch_size`` in order, keeping the final partial batch.
-    Gradients are means over the batch; the fedprox gradient adds
-    ``mu * (w - w_g)``.  The reported loss is the mean per-batch objective of
-    the final epoch, measured before each step.  Returns the cohort as one
+    batches of ``cfg.batch_size`` in order, keeping the final partial batch.
+    Gradients are means over the batch; under fedprox the gradient adds
+    ``cfg.mu * (w - w_g)``.  The reported loss is the mean per-batch objective
+    of the final epoch, measured before each step.  Returns the cohort as one
     stack, ``(weights (m, C, d), bias (m, C), losses (m,))``, whose row i is
     the client of ``splits[i]``.  Pure function of its arguments: identical
     inputs give bit-identical rows.
@@ -136,13 +94,13 @@ def train_cohort(
     epoch, raises DivergenceError naming the first client, in the given
     order, whose training diverges on its own.
     """
-    _check_cohort(w_g, data, splits, seeds)
+    _check_cohort(w_g, data, splits, cfg, seeds)
     # Largest clients first, so that each step's groups are slices.
     rank = sorted(range(len(splits)), key=lambda i: -splits[i].n_samples)
     sizes = [splits[i].n_samples for i in rank]
-    plan = _step_groups(sizes, h.batch_size)
-    use_prox = h.objective == "fedprox" and h.mu != 0.0
-    lr, bs = h.learning_rate, h.batch_size
+    plan = _step_groups(sizes, cfg.batch_size)
+    use_prox = cfg.method == "fedprox" and cfg.mu != 0.0
+    lr, bs = cfg.learning_rate, cfg.batch_size
     w = np.repeat(w_g.weights[None], len(rank), axis=0)
     b = np.repeat(w_g.bias[None], len(rank), axis=0)
     orders = np.zeros((len(rank), sizes[0]), dtype=np.int64)
@@ -150,12 +108,12 @@ def train_cohort(
     epoch = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for epoch in range(h.local_epochs):
+            for epoch in range(cfg.local_epochs):
                 for j, i in enumerate(rank):
                     orders[j, : sizes[j]] = key_rng(derive(seeds[i], epoch)).permutation(
                         splits[i].indices
                     )
-                record = epoch == h.local_epochs - 1
+                record = epoch == cfg.local_epochs - 1
                 for step, groups in enumerate(plan):
                     start = step * bs
                     for lo, hi, length in groups:
@@ -167,10 +125,10 @@ def train_cohort(
                         if use_prox:
                             dw = wg - w_g.weights
                             db = bg - w_g.bias
-                            gw += h.mu * dw
-                            gb += h.mu * db
+                            gw += cfg.mu * dw
+                            gb += cfg.mu * db
                             if record:
-                                loss += 0.5 * h.mu * (
+                                loss += 0.5 * cfg.mu * (
                                     (dw * dw).reshape(hi - lo, -1).sum(axis=1)
                                     + (db * db).sum(axis=1)
                                 )
@@ -187,7 +145,7 @@ def train_cohort(
     except FloatingPointError:
         if len(splits) > 1:  # name the first client that diverges alone
             for split, seed in zip(splits, seeds):
-                train_cohort(w_g, data, [split], h, [seed])
+                train_cohort(w_g, data, [split], cfg, [seed])
         raise DivergenceError(
             f"client {splits[0].client_id}, epoch {epoch}: local training diverged"
         ) from None

@@ -177,7 +177,7 @@ def trend_grid():
         cfg = replace(base, seed=s)
         train, test = build_datasets(cfg)
         centralized.append(
-            accuracy(centralized_train(train, cfg.hyperparams(), epochs, s), test)
+            accuracy(centralized_train(train, cfg, epochs), test)
         )
     return {
         "cells": cells,
@@ -260,7 +260,7 @@ def test_single_client_federation_collapses_to_centralized():
     )
     data = prepare_experiment(cfg)
     fed = run_federation(cfg, data)
-    central = centralized_train(data.train, cfg.hyperparams(), 6, cfg.seed)
+    central = centralized_train(data.train, cfg, 6)
     diff = abs(fed.final_accuracy - accuracy(central, data.test))
     bit_identical = same_params(fed.final_state.global_params, central)
     ok = diff == 0.0 and bit_identical

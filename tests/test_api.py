@@ -1,4 +1,8 @@
-"""The package's exported names, pinned so the API changes only on purpose."""
+"""The package's exported names, pinned so the API changes only on purpose,
+and the one module that writes files."""
+
+import ast
+from pathlib import Path
 
 import fedsim
 
@@ -10,7 +14,6 @@ EXPORTS = [
     "ExperimentData",
     "FederationResult",
     "FileData",
-    "HyperParams",
     "ParamVector",
     "RoundReport",
     "ServerState",
@@ -45,3 +48,41 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     missing = [name for name in fedsim.__all__ if not hasattr(fedsim, name)]
     assert missing == []
+
+
+# Calls that write a file whatever their arguments; open() writes by its mode.
+DIRECT_WRITERS = {"write_text", "write_bytes", "save", "savez", "savez_compressed",
+                  "savetxt", "tofile"}
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in DIRECT_WRITERS:
+        return True
+    if name != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    # A mode that is not a literal may write.
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+               for m in modes)
+
+
+def writers(node: ast.AST, where: str = "<module>"):
+    """(function, line) of each call under ``node`` that writes a file."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and opens_for_writing(child):
+            yield where, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from writers(child, inner)
+
+
+def test_only_the_atomic_writer_opens_files_for_writing():
+    # Every output goes through data.atomic_write, so no output file is ever
+    # left half written.
+    src = Path(fedsim.__file__).parent
+    found = [
+        (path.name, fn, line)
+        for path in sorted(src.glob("*.py"))
+        for fn, line in writers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert [(name, fn) for name, fn, _ in found] == [("data.py", "atomic_write")], found

@@ -98,6 +98,27 @@ def test_run_outputs_byte_identical_across_reruns(tiny_cfg_path, tmp_path, capsy
         assert blobs[0] == blobs[1]
 
 
+def test_a_failing_write_keeps_the_previous_summary(tiny_cfg_path, tmp_path, capsys,
+                                                    monkeypatch):
+    # Each output is written to a temporary file and renamed over the old one
+    # only when complete: a write that fails halfway leaves the old file.
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tiny_cfg_path), "--out", str(out), "--quiet"]) == 0
+    before = (out / "summary.json").read_bytes()
+
+    def dump_then_fail(payload, f, **kwargs):
+        f.write('{"partial": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    reseeded = tmp_path / "reseeded.cfg"
+    reseeded.write_text(TINY + "seed = 1\n", encoding="utf-8")
+    assert main(["run", "--config", str(reseeded), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert (out / "summary.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["labels.csv", "rounds.csv", "summary.json"]
+
+
 @pytest.mark.parametrize("method", ["fedavg", "fedprox\nmu = 0.3"])
 def test_run_divergence_is_one_error_line(tmp_path, capsys, method):
     cfg_path = tmp_path / "wild.cfg"

@@ -320,16 +320,6 @@ def test_config_to_dict_is_json_friendly():
     }
 
 
-def test_hyperparams_mapping():
-    cfg = parse_config("method = fedprox\nmu = 0.9\nlearning_rate = 0.05")
-    h = cfg.hyperparams()
-    assert h.objective == "fedprox"
-    assert h.mu == 0.9
-    assert h.learning_rate == 0.05
-    assert h.batch_size == cfg.batch_size
-    assert h.local_epochs == cfg.local_epochs
-
-
 def test_tokens_render_back():
     cfg = parse_config("method = fedprox\nmu = 0.2\npartition = shards(2)")
     assert cfg.method_token() == "fedprox(0.2)"

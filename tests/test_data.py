@@ -364,6 +364,13 @@ def test_save_dataset_failure_keeps_the_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["data.csv"]
 
 
+def test_save_dataset_into_a_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "nodir" / "x.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        save_dataset(generate_synthetic(9, 3, 3, 2.0, 1), path)
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -387,23 +394,26 @@ def test_load_dataset_names_the_first_bad_line(tmp_path, text, where):
 
 
 @pytest.mark.parametrize(
-    "raw",
+    "raw,position",
     [
-        b"2,\xff3\n0,1,2\n1,3,4\n2,5,6\n",
-        b"2,3\n0,1,2\n1,\xff,4\n2,5,6\n",
-        # Past the first decoded chunk, so np.loadtxt meets the bad byte.
-        b"2,3\n" + b"0,1,2\n1,3,4\n2,5,6\n" * 2000 + b"1,\xff,4\n",
+        (b"2,\xff3\n0,1,2\n1,3,4\n2,5,6\n", 2),
+        (b"2,3\n0,1,2\n1,\xff,4\n2,5,6\n", 12),
+        # Past the first decoded chunk, so np.loadtxt meets the bad byte; the
+        # position is still the byte's offset in the file.
+        (b"2,3\n" + b"0,1,2\n1,3,4\n2,5,6\n" * 2000 + b"1,\xff,4\n", 36006),
     ],
     ids=["header", "row", "late-row"],
 )
-def test_load_dataset_names_the_file_when_it_is_not_utf8(tmp_path, raw):
+def test_load_dataset_names_the_file_when_it_is_not_utf8(tmp_path, raw, position):
     p = tmp_path / "latin1.csv"
     p.write_bytes(raw)
+    assert raw.index(b"\xff") == position
     with pytest.raises(ValueError) as info:
         load_dataset(p)
-    message = str(info.value)
-    assert message.startswith(f"{p}: 'utf-8' codec can't decode byte 0xff")
-    assert message.count(str(p)) == 1
+    assert str(info.value) == (
+        f"{p}: 'utf-8' codec can't decode byte 0xff in position {position}: "
+        "invalid start byte"
+    )
 
 
 def test_load_dataset_reads_crlf_lines(tmp_path):

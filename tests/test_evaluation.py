@@ -15,7 +15,7 @@ from fedsim.evaluation import (
 )
 from fedsim.federation import run_federation
 from fedsim.model import ParamVector
-from fedsim.training import HyperParams, train_cohort
+from fedsim.training import train_cohort
 from fedsim.seeds import LOCAL_STREAM, derive
 from oracles import same_params
 
@@ -46,21 +46,21 @@ def test_accuracy_shape_errors():
 
 def test_centralized_train_zero_epochs_returns_zeros():
     d = generate_synthetic(30, 3, 5, 3.0, 0)
-    p = centralized_train(d, HyperParams(), 0, 0)
+    p = centralized_train(d, ExperimentConfig(), 0)
     assert same_params(p, ParamVector.zeros(3, 5))
     with pytest.raises(ValueError, match="epochs"):
-        centralized_train(d, HyperParams(), -1, 0)
+        centralized_train(d, ExperimentConfig(), -1)
 
 
 def test_centralized_train_is_full_split_local_train():
     d = generate_synthetic(50, 3, 5, 3.0, 1)
-    h = HyperParams(batch_size=16)
-    got = centralized_train(d, h, 4, 7)
+    cfg = ExperimentConfig(batch_size=16, seed=7)
+    got = centralized_train(d, cfg, 4)
     weights, bias, _ = train_cohort(
         ParamVector.zeros(3, 5),
         d,
         [ClientSplit(0, np.arange(50))],
-        replace(h, local_epochs=4),
+        replace(cfg, local_epochs=4),
         [derive(7, LOCAL_STREAM, 0, 0)],
     )
     assert same_params(got, ParamVector(weights[0], bias[0]))
@@ -68,16 +68,16 @@ def test_centralized_train_is_full_split_local_train():
 
 def test_centralized_train_ignores_proximal_setting():
     d = generate_synthetic(50, 3, 5, 3.0, 2)
-    plain = centralized_train(d, HyperParams(batch_size=16), 3, 0)
+    plain = centralized_train(d, ExperimentConfig(batch_size=16), 3)
     proxed = centralized_train(
-        d, HyperParams(batch_size=16, objective="fedprox", mu=5.0), 3, 0
+        d, ExperimentConfig(batch_size=16, method="fedprox", mu=5.0), 3
     )
     assert same_params(plain, proxed)
 
 
 def test_centralized_baseline_converges_on_separated_data():
     train, test = synthetic_train_test(1250, 4, 16, 6.0, 0.2, 0)
-    acc = accuracy(centralized_train(train, HyperParams(), 10, 0), test)
+    acc = accuracy(centralized_train(train, ExperimentConfig(), 10), test)
     assert acc >= 0.95
 
 
@@ -95,7 +95,7 @@ def test_one_client_federation_collapses_to_centralized():
 
     data = prepare_experiment(cfg)
     fed = run_federation(cfg, data)
-    central = centralized_train(data.train, cfg.hyperparams(), 4, cfg.seed)
+    central = centralized_train(data.train, cfg, 4)
     assert same_params(fed.final_state.global_params, central)
     assert fed.final_accuracy - accuracy(central, data.test) == 0.0
 

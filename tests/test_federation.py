@@ -176,7 +176,7 @@ def test_one_round_matches_clients_trained_alone():
     zeros = ParamVector.zeros(4, 8)
     alone = [
         train_cohort(
-            zeros, data.train, [s], cfg.hyperparams(),
+            zeros, data.train, [s], cfg,
             [derive(cfg.seed, LOCAL_STREAM, 0, s.client_id)],
         )
         for s in data.splits

@@ -1,16 +1,20 @@
 """Local SGD: closed-form steps, proximal behavior, a full loop oracle, and
 cohort invariance."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim.config import ConfigError, ExperimentConfig, validate_config
 from fedsim.data import ClientSplit, Dataset, generate_synthetic
 from fedsim.federation import aggregate
 from fedsim.model import ParamVector, loss_grad
 from fedsim.seeds import derive, key_rng
-from fedsim.training import DivergenceError, HyperParams, train_cohort
+from fedsim.training import DivergenceError, train_cohort
 from oracles import same_params
 
 
@@ -19,41 +23,63 @@ def small_problem(seed=0, n=40, n_classes=3, dim=5):
     return d, ClientSplit(0, np.arange(n)), ParamVector.zeros(n_classes, dim)
 
 
-def local_train(w_g, data, split, h, seed):
+def local_train(w_g, data, split, cfg, seed):
     """One client trained alone, a cohort of one: its parameters and loss."""
-    weights, bias, losses = train_cohort(w_g, data, [split], h, [seed])
+    weights, bias, losses = train_cohort(w_g, data, [split], cfg, [seed])
     return ParamVector(weights[0], bias[0]), float(losses[0])
 
 
-def test_hyperparams_defaults():
-    h = HyperParams()
-    assert h.learning_rate == 0.01
-    assert h.batch_size == 64
-    assert h.local_epochs == 2
-    assert h.mu == 0.2
-    assert h.objective == "fedavg"
+BAD_TRAINING_FIELDS = [
+    ("learning_rate", -0.1, "learning_rate: must be > 0, got -0.1"),
+    ("learning_rate", math.nan, "learning_rate: must be > 0, got nan"),
+    ("learning_rate", 0.0, "learning_rate: must be > 0, got 0.0"),
+    ("batch_size", 0, "batch_size: must be >= 1, got 0"),
+    ("local_epochs", 0, "local_epochs: must be >= 1, got 0"),
+    ("mu", -1.0, "mu: must be >= 0 and finite, got -1.0"),
+    ("method", "sgd", "method: must be one of ('fedavg', 'fedprox'), got 'sgd'"),
+]
 
 
-def test_hyperparams_validation():
-    with pytest.raises(ValueError, match="learning_rate"):
-        HyperParams(learning_rate=-0.1)
-    with pytest.raises(ValueError, match="learning_rate"):
-        HyperParams(learning_rate=float("nan"))
-    with pytest.raises(ValueError, match="batch_size"):
-        HyperParams(batch_size=0)
-    with pytest.raises(ValueError, match="local_epochs"):
-        HyperParams(local_epochs=0)
-    with pytest.raises(ValueError, match="mu"):
-        HyperParams(mu=-1.0)
-    with pytest.raises(ValueError, match="objective"):
-        HyperParams(objective="sgd")
-    HyperParams(learning_rate=0.0)  # accepted for no-op limit checks
+def test_train_cohort_rejects_a_bad_training_field():
+    d, split, w0 = small_problem()
+    for name, value, message in BAD_TRAINING_FIELDS:
+        cfg = replace(ExperimentConfig(), **{name: value})
+        with pytest.raises(ConfigError) as info:
+            train_cohort(w0, d, [split], cfg, [0])
+        assert str(info.value) == message
+
+
+# One out-of-range value for each training field; validate_config's rule
+# table is the only place that decides what is out of range.
+OUT_OF_RANGE = {
+    "learning_rate": st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
+    "batch_size": st.integers(max_value=0),
+    "local_epochs": st.integers(max_value=0),
+    "mu": st.floats(max_value=0.0, exclude_max=True) | st.sampled_from([math.nan, math.inf]),
+    "method": st.text(max_size=8).filter(lambda m: m not in ("fedavg", "fedprox")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+    lambda name: st.tuples(st.just(name), OUT_OF_RANGE[name])
+))
+def test_train_cohort_rejects_what_validate_config_rejects(bad):
+    name, value = bad
+    d, split, w0 = small_problem()
+    cfg = replace(ExperimentConfig(), **{name: value})
+    with pytest.raises(ConfigError) as want:
+        validate_config(cfg)
+    assert str(want.value).startswith(f"{name}: ")
+    with pytest.raises(ConfigError) as got:
+        train_cohort(w0, d, [split], cfg, [0])
+    assert str(got.value) == str(want.value)
 
 
 def test_local_update_requires_positive_samples():
     # A trained client row is only averaged with a sample count of at least one.
     d, split, w0 = small_problem(seed=2, n=8)
-    weights, bias, _ = train_cohort(w0, d, [split], HyperParams(batch_size=8), [5])
+    weights, bias, _ = train_cohort(w0, d, [split], ExperimentConfig(batch_size=8), [5])
     with pytest.raises(ValueError, match="n_samples"):
         aggregate(weights, bias, [0], "datasize")
 
@@ -63,10 +89,10 @@ def test_proximal_penalty_closed_form():
     # the first step is w1 = w_g - lr * g with g the cross-entropy gradient at
     # w_g, and the last epoch reports CE(w1) + (mu/2) * lr^2 * ||g||^2.
     d, split, w0 = small_problem(seed=3, n=24)
-    h = HyperParams(
-        learning_rate=0.05, batch_size=24, local_epochs=2, mu=5.0, objective="fedprox"
+    cfg = ExperimentConfig(
+        learning_rate=0.05, batch_size=24, local_epochs=2, mu=5.0, method="fedprox"
     )
-    _, loss = local_train(w0, d, split, h, 11)
+    _, loss = local_train(w0, d, split, cfg, 11)
     _, gw, gb = loss_grad(w0.weights, w0.bias, d.features, d.labels)
     w1, b1 = w0.weights - 0.05 * gw, w0.bias - 0.05 * gb
     ce1 = float(loss_grad(w1, b1, d.features, d.labels)[0])
@@ -79,9 +105,9 @@ def test_local_objective_adds_penalty_only_for_fedprox():
     # mu acts only under fedprox: fedavg at mu = 5 is bit-identical to mu = 0.
     d, split, w0 = small_problem(seed=2)
 
-    def run(objective, mu):
-        h = HyperParams(batch_size=8, mu=mu, objective=objective)
-        return local_train(w0, d, split, h, 0)
+    def run(method, mu):
+        cfg = ExperimentConfig(batch_size=8, mu=mu, method=method)
+        return local_train(w0, d, split, cfg, 0)
 
     plain, plain_loss = run("fedavg", 0.0)
     ignored, ignored_loss = run("fedavg", 5.0)
@@ -90,19 +116,26 @@ def test_local_objective_adds_penalty_only_for_fedprox():
     assert run("fedprox", 5.0)[1] != plain_loss
 
 
-def test_local_train_zero_learning_rate_is_identity():
+def test_local_train_at_tiny_learning_rate_stays_at_global_params():
+    # learning_rate must be > 0.  At 1e-300, three epochs of steps on features
+    # below 15 in size move no coordinate further than 1e-296 from w_g.
     d, split, w0 = small_problem()
-    h = HyperParams(learning_rate=0.0, batch_size=8, local_epochs=3)
-    weights, bias, losses = train_cohort(w0, d, [split], h, [4])
+    cfg = ExperimentConfig(learning_rate=0.0, batch_size=8, local_epochs=3)
+    with pytest.raises(ConfigError, match="^learning_rate: must be > 0, got 0.0$"):
+        train_cohort(w0, d, [split], cfg, [4])
+    assert np.abs(d.features).max() < 15
+    cfg = replace(cfg, learning_rate=1e-300)
+    weights, bias, losses = train_cohort(w0, d, [split], cfg, [4])
     assert (weights.shape, bias.shape, losses.shape) == ((1, 3, 5), (1, 3), (1,))
-    assert same_params(ParamVector(weights[0], bias[0]), w0)
+    assert np.abs(weights[0] - w0.weights).max() <= 1e-296
+    assert np.abs(bias[0] - w0.bias).max() <= 1e-296
 
 
 def test_local_train_single_batch_step_is_gradient_descent():
     # One epoch, one full batch: the update must be exactly w - lr * grad.
     d, split, w0 = small_problem(seed=3, n=24)
-    h = HyperParams(learning_rate=0.05, batch_size=24, local_epochs=1)
-    params, got_loss = local_train(w0, d, split, h, 11)
+    cfg = ExperimentConfig(learning_rate=0.05, batch_size=24, local_epochs=1)
+    params, got_loss = local_train(w0, d, split, cfg, 11)
     order = key_rng(derive(11, 0)).permutation(split.indices)
     loss, gw, gb = loss_grad(w0.weights, w0.bias, d.features[order], d.labels[order])
     assert np.array_equal(params.weights, w0.weights - 0.05 * gw)
@@ -110,40 +143,40 @@ def test_local_train_single_batch_step_is_gradient_descent():
     assert got_loss == float(loss)
 
 
-def sgd_reference(w_g, data, split, h, seed):
+def sgd_reference(w_g, data, split, cfg, seed):
     """Reimplementation of the local loop, one client and one batch at a time."""
     w = w_g.weights.copy()
     b = w_g.bias.copy()
     last = []
-    for epoch in range(h.local_epochs):
+    for epoch in range(cfg.local_epochs):
         order = key_rng(derive(seed, epoch)).permutation(split.indices)
-        for start in range(0, order.size, h.batch_size):
-            sel = order[start : start + h.batch_size]
+        for start in range(0, order.size, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
             loss, gw, gb = loss_grad(w, b, data.features[sel], data.labels[sel])
             loss = float(loss)
-            if h.objective == "fedprox" and h.mu != 0.0:
+            if cfg.method == "fedprox" and cfg.mu != 0.0:
                 dw, db = w - w_g.weights, b - w_g.bias
-                gw += h.mu * dw
-                gb += h.mu * db
-                if epoch == h.local_epochs - 1:
-                    loss += 0.5 * h.mu * float((dw * dw).sum() + (db * db).sum())
-            if epoch == h.local_epochs - 1:
+                gw += cfg.mu * dw
+                gb += cfg.mu * db
+                if epoch == cfg.local_epochs - 1:
+                    loss += 0.5 * cfg.mu * float((dw * dw).sum() + (db * db).sum())
+            if epoch == cfg.local_epochs - 1:
                 last.append(loss)
-            w -= h.learning_rate * gw
-            b -= h.learning_rate * gb
+            w -= cfg.learning_rate * gw
+            b -= cfg.learning_rate * gb
     return ParamVector(w, b), float(np.mean(last))
 
 
-@pytest.mark.parametrize("objective,mu", [("fedavg", 0.0), ("fedprox", 0.7)])
-def test_local_train_matches_reference_loop(objective, mu):
+@pytest.mark.parametrize("method,mu", [("fedavg", 0.0), ("fedprox", 0.7)])
+def test_local_train_matches_reference_loop(method, mu):
     d, split, _ = small_problem(seed=5, n=50, n_classes=4, dim=6)
     rng = np.random.default_rng(9)
     w0 = ParamVector(rng.normal(size=(4, 6)) * 0.1, rng.normal(size=4) * 0.1)
-    h = HyperParams(
-        learning_rate=0.02, batch_size=16, local_epochs=3, mu=mu, objective=objective
+    cfg = ExperimentConfig(
+        learning_rate=0.02, batch_size=16, local_epochs=3, mu=mu, method=method
     )
-    params, loss = local_train(w0, d, split, h, 21)
-    want_params, want_loss = sgd_reference(w0, d, split, h, 21)
+    params, loss = local_train(w0, d, split, cfg, 21)
+    want_params, want_loss = sgd_reference(w0, d, split, cfg, 21)
     assert same_params(params, want_params)
     assert loss == want_loss
 
@@ -152,10 +185,10 @@ def test_fedprox_mu_zero_matches_fedavg_exactly():
     d, split, w0 = small_problem(seed=6, n=64)
     for seed in [0, 1, 2]:
         avg = local_train(
-            w0, d, split, HyperParams(batch_size=16, objective="fedavg"), seed
+            w0, d, split, ExperimentConfig(batch_size=16, method="fedavg"), seed
         )
         prox = local_train(
-            w0, d, split, HyperParams(batch_size=16, objective="fedprox", mu=0.0), seed
+            w0, d, split, ExperimentConfig(batch_size=16, method="fedprox", mu=0.0), seed
         )
         assert same_params(avg[0], prox[0])
         assert avg[1] == prox[1]
@@ -163,9 +196,9 @@ def test_fedprox_mu_zero_matches_fedavg_exactly():
 
 def test_fedprox_nonzero_mu_changes_the_update():
     d, split, w0 = small_problem(seed=7)
-    avg = local_train(w0, d, split, HyperParams(batch_size=8, objective="fedavg"), 0)
+    avg = local_train(w0, d, split, ExperimentConfig(batch_size=8, method="fedavg"), 0)
     prox = local_train(
-        w0, d, split, HyperParams(batch_size=8, objective="fedprox", mu=1.0), 0
+        w0, d, split, ExperimentConfig(batch_size=8, method="fedprox", mu=1.0), 0
     )
     assert not same_params(avg[0], prox[0])
 
@@ -182,7 +215,7 @@ def test_final_epoch_loss_nonincreasing_with_more_epochs():
                 w0,
                 d,
                 split,
-                HyperParams(batch_size=32, local_epochs=e),
+                ExperimentConfig(batch_size=32, local_epochs=e),
                 seed,
             )[1]
             for e in range(1, 11)
@@ -197,8 +230,8 @@ def test_proximal_term_shrinks_drift():
     w0 = ParamVector.zeros(2, 4)
 
     def drift(mu):
-        h = HyperParams(batch_size=32, local_epochs=3, mu=mu, objective="fedprox")
-        params, _ = local_train(w0, d, split, h, 0)
+        cfg = ExperimentConfig(batch_size=32, local_epochs=3, mu=mu, method="fedprox")
+        params, _ = local_train(w0, d, split, cfg, 0)
         dw = params.weights - w0.weights
         db = params.bias - w0.bias
         return float(np.sqrt((dw * dw).sum() + (db * db).sum()))
@@ -209,18 +242,18 @@ def test_proximal_term_shrinks_drift():
 def test_local_train_validation():
     d, split, w0 = small_problem()
     with pytest.raises(ValueError, match="out of range"):
-        local_train(w0, d, ClientSplit(0, np.array([0, 40])), HyperParams(), 0)
+        local_train(w0, d, ClientSplit(0, np.array([0, 40])), ExperimentConfig(), 0)
     with pytest.raises(ValueError, match="feature_dim"):
-        local_train(ParamVector.zeros(3, 6), d, split, HyperParams(), 0)
+        local_train(ParamVector.zeros(3, 6), d, split, ExperimentConfig(), 0)
     with pytest.raises(ValueError, match="classes"):
-        local_train(ParamVector.zeros(2, 5), d, split, HyperParams(), 0)
+        local_train(ParamVector.zeros(2, 5), d, split, ExperimentConfig(), 0)
     with pytest.raises(ValueError, match="non-empty"):
-        train_cohort(w0, d, [], HyperParams(), [])
+        train_cohort(w0, d, [], ExperimentConfig(), [])
     with pytest.raises(ValueError, match="seeds"):
-        train_cohort(w0, d, [split, split], HyperParams(), [0])
+        train_cohort(w0, d, [split, split], ExperimentConfig(), [0])
 
 
-OBJECTIVE_CASES = [("fedavg", 0.4), ("fedprox", 0.4), ("fedprox", 0.0)]
+METHOD_CASES = [("fedavg", 0.4), ("fedprox", 0.4), ("fedprox", 0.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,11 +261,11 @@ OBJECTIVE_CASES = [("fedavg", 0.4), ("fedprox", 0.4), ("fedprox", 0.0)]
     sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
     batch_size=st.integers(1, 12),
     local_epochs=st.integers(1, 3),
-    objective=st.sampled_from(OBJECTIVE_CASES),
+    method=st.sampled_from(METHOD_CASES),
     draw=st.data(),
 )
 def test_cohort_update_is_bit_identical_to_training_alone(
-    sizes, batch_size, local_epochs, objective, draw
+    sizes, batch_size, local_epochs, method, draw
 ):
     # Clients of random sizes (most leave a ragged final batch) train as a
     # random subset in a random order; each row must match its solo run exactly.
@@ -243,20 +276,20 @@ def test_cohort_update_is_bit_identical_to_training_alone(
     cohort = order[: draw.draw(st.integers(1, len(sizes)))]
     rng = np.random.default_rng(len(sizes))
     w0 = ParamVector(rng.normal(size=(3, 5)) * 0.1, rng.normal(size=3) * 0.1)
-    h = HyperParams(
+    cfg = ExperimentConfig(
         learning_rate=0.05,
         batch_size=batch_size,
         local_epochs=local_epochs,
-        mu=objective[1],
-        objective=objective[0],
+        mu=method[1],
+        method=method[0],
     )
     weights, bias, losses = train_cohort(
-        w0, d, [splits[c] for c in cohort], h, [(7, c) for c in cohort]
+        w0, d, [splits[c] for c in cohort], cfg, [(7, c) for c in cohort]
     )
     m = len(cohort)
     assert (weights.shape, bias.shape, losses.shape) == ((m, 3, 5), (m, 3), (m,))
     for i, c in enumerate(cohort):
-        alone, loss = local_train(w0, d, splits[c], h, (7, c))
+        alone, loss = local_train(w0, d, splits[c], cfg, (7, c))
         assert same_params(ParamVector(weights[i], bias[i]), alone)
         assert losses[i] == loss
 
@@ -272,8 +305,8 @@ def test_divergence_names_the_first_diverging_client_and_epoch():
     w0 = ParamVector.zeros(2, 3)
     calm, wild, wilder = (ClientSplit(c, np.arange(10 * c, 10 * c + 10)) for c in range(3))
     short = ClientSplit(3, np.arange(20, 25))  # one step per epoch
-    h = HyperParams(learning_rate=1e-290, batch_size=5, local_epochs=2)
-    local_train(w0, d, calm, h, 0)
+    cfg = ExperimentConfig(learning_rate=1e-290, batch_size=5, local_epochs=2)
+    local_train(w0, d, calm, cfg, 0)
     cases = [
         ([calm, wild], "client 1, epoch 0"),
         ([wilder, calm, wild], "client 2, epoch 0"),
@@ -281,10 +314,10 @@ def test_divergence_names_the_first_diverging_client_and_epoch():
     ]
     for splits, where in cases:
         with pytest.raises(DivergenceError) as info:
-            train_cohort(w0, d, splits, h, list(range(len(splits))))
+            train_cohort(w0, d, splits, cfg, list(range(len(splits))))
         assert str(info.value) == f"{where}: local training diverged"
     # A huge step on the well-scaled rows saturates the softmax: zero loss and
     # no overflow, but weights near 1e307 whose squared norm overflows.
-    saturating = HyperParams(learning_rate=1e307, batch_size=5, local_epochs=2)
+    saturating = replace(cfg, learning_rate=1e307)
     with pytest.raises(DivergenceError, match="^client 0, epoch 0: "):
         train_cohort(w0, d, [calm], saturating, [0])
