@@ -1,18 +1,18 @@
 """Final accuracy across methods, partitions, and seeds.
 
-Run fedavg and fedprox on an IID and a label-sharded partition, three seeds
-each, and print a table of final test accuracy, mean and sample std.  Every
-run redraws data, partition, selection, and shuffles from its own seed; the
-rest of the setup is shared.  Run:
+Run fedavg and fedprox on an IID and two label-sharded partitions, three
+seeds each, and print a table of final test accuracy, mean and sample std.
+``prepare_suite`` prepares every run before the first one trains, in the
+same cell order as ``fedsim suite``.  The runs of one seed share its
+dataset, drawn once; partition, selection, and shuffles come from each
+run's own seed and cell.  Run:
 
     python3 demos/05_heterogeneity_sweep.py
 """
 
-from dataclasses import replace
-
 from fedsim import ExperimentConfig, SyntheticData, run_federation
-from fedsim.config import suite_cells
 from fedsim.evaluation import summarize_accuracies
+from fedsim.federation import prepare_suite
 
 SEEDS = (0, 1, 2)
 
@@ -38,9 +38,8 @@ def main() -> None:
     print(f"seeds {list(SEEDS)}, {base.rounds} rounds, "
           f"{base.n_clients} clients\n")
     print("  method        partition   per-seed accuracy        mean     std")
-    # The same cells, in the same order, as `fedsim suite` on these keys.
-    for method, partition, cfg in suite_cells(base):
-        accs = [run_federation(replace(cfg, seed=s)).final_accuracy for s in SEEDS]
+    for method, partition, runs in prepare_suite(base, SEEDS):
+        accs = [run_federation(cfg, data).final_accuracy for cfg, data in runs]
         mean, std = summarize_accuracies(accs)
         per_seed = "  ".join(f"{a:.3f}" for a in accs)
         print(f"  {method:<12}  {partition:<9}"

@@ -11,20 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .config import (
     ConfigError,
     ExperimentConfig,
-    FileData,
-    check_seeds,
     config_fingerprint,
     config_to_dict,
     load_config,
     parse_seed_list,
-    suite_cells,
     validate_config,
 )
 from .data import (atomic_write, format_float, label_distribution,
@@ -36,6 +32,7 @@ from .federation import (
     RoundReport,
     build_datasets,
     prepare_experiment,
+    prepare_suite,
     run_federation,
 )
 
@@ -126,36 +123,38 @@ def cmd_suite(
     """Sweep methods x partitions across seeds; write per-run dirs + table.csv.
 
     The sweep lists come from the config's ``methods``/``partitions`` keys and
-    fall back to its single method/partition.  Every cell is validated before
-    the first run, so an invalid one writes nothing.  A file() dataset is read
-    once, and every cell is partitioned with it before the first run too.
-    Every (method, partition, seed) run writes the same files as ``run`` under
-    out/<combo>/seed_<s>/.
+    fall back to its single method/partition.  Every run is prepared before
+    the first one trains, so an invalid cell, or an ``out`` whose suite.json
+    records another sweep, writes nothing.  Each (method, partition, seed)
+    run writes the same files as ``run`` under out/<combo>/seed_<s>/.
     """
     seed_list = list(seeds) if seeds is not None else list(cfg.suite_seeds)
-    check_seeds(seed_list, seed_list)
-    cells = suite_cells(cfg)
-    for _, _, cell in cells:
-        # A run differs from its cell only in the seed, which check_seeds checked.
-        validate_config(replace(cell, seed=int(seed_list[0])))
-    datasets = None
-    if isinstance(cfg.dataset, FileData):
-        # Read once; whether its rows hold a cell's partition is seed-free.
-        datasets = build_datasets(cfg)
-        for _, _, cell in cells:
-            prepare_experiment(replace(cell, seed=int(seed_list[0])), datasets)
+    suite = prepare_suite(cfg, seed_list)
+    meta = {
+        "config_fingerprint": config_fingerprint(cfg),
+        "seeds": [int(s) for s in seed_list],
+        "std_convention": "sample (ddof=1)",
+        "methods": list(dict.fromkeys(mt for mt, _, _ in suite)),
+        "partitions": list(dict.fromkeys(pt for _, pt, _ in suite)),
+    }
+    record = out / "suite.json"
+    try:  # a rerun may only overwrite the sweep it repeats
+        old = json.loads(record.read_text(encoding="utf-8")) if record.exists() else meta
+        same = all(old[k] == meta[k] for k in ("methods", "partitions", "seeds"))
+    except (ValueError, KeyError, TypeError):
+        same = False
+    if not same:
+        raise ValueError(f"{record}: holds another sweep's methods, partitions or "
+                         "seeds; write this one to a new --out")
     out.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, str, float, float]] = []
-    for mt, pt, cell in cells:
+    for mt, pt, runs in suite:
         accs: list[float] = []
-        for s in seed_list:
-            rcfg = replace(cell, seed=int(s))
-            data = prepare_experiment(rcfg, datasets)
-            _log(quiet, f"suite: {mt} {pt} seed={s}")
+        for rcfg, data in runs:
+            _log(quiet, f"suite: {mt} {pt} seed={rcfg.seed}")
             result = run_federation(rcfg, data)
-            _write_run_outputs(
-                rcfg, data, result, out / f"{_slug(mt)}_{_slug(pt)}" / f"seed_{s}"
-            )
+            run_dir = out / f"{_slug(mt)}_{_slug(pt)}" / f"seed_{rcfg.seed}"
+            _write_run_outputs(rcfg, data, result, run_dir)
             accs.append(result.final_accuracy)
         mean, std = summarize_accuracies(accs)
         rows.append((mt, pt, mean, std))
@@ -164,16 +163,7 @@ def cmd_suite(
         f.write("method,partition,mean_accuracy,std\n")
         for mt, pt, mean, std in rows:
             f.write(f"{mt},{pt},{format_float(mean)},{format_float(std)}\n")
-    _write_json(
-        {
-            "config_fingerprint": config_fingerprint(cfg),
-            "seeds": [int(s) for s in seed_list],
-            "std_convention": "sample (ddof=1)",
-            "methods": list(dict.fromkeys(mt for mt, _, _ in cells)),
-            "partitions": list(dict.fromkeys(pt for _, pt, _ in cells)),
-        },
-        out / "suite.json",
-    )
+    _write_json(meta, record)
     return 0
 
 

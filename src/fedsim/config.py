@@ -30,7 +30,8 @@ rejected.
 
 Unknown or duplicate keys are rejected; every constraint violation is
 reported with the offending key.  Values in file() paths cannot contain
-commas or '#'.
+commas or '#'.  A relative file() path resolves against the working
+directory, not against the config file's directory.
 """
 
 from __future__ import annotations
@@ -413,7 +414,10 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     """Parse a config file."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+        try:
+            return parse_config(f.read())
+        except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def validate_config(cfg: ExperimentConfig) -> None:

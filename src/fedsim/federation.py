@@ -9,13 +9,13 @@ clients share its round, and rows are averaged in ascending client-id order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import (WEIGHTINGS, ConfigError, ExperimentConfig, SyntheticData,
-                     clients_per_round, validate_config)
+                     check_seeds, clients_per_round, suite_cells, validate_config)
 from .data import (
     ClientSplit,
     Dataset,
@@ -45,6 +45,7 @@ __all__ = [
     "aggregate",
     "build_datasets",
     "prepare_experiment",
+    "prepare_suite",
     "run_federation",
     "select_clients",
 ]
@@ -186,6 +187,30 @@ def prepare_experiment(
     except ValueError as exc:
         raise ConfigError(f"partition: {exc}") from None
     return ExperimentData(train=train, test=test, splits=tuple(splits))
+
+
+def prepare_suite(
+    cfg: ExperimentConfig, seeds: Sequence[int]
+) -> list[tuple[str, str, list[tuple[ExperimentConfig, ExperimentData]]]]:
+    """Prepare every run of a suite before any of them trains.
+
+    Returns (method token, partition token, [(run config, data), ...]) per
+    cell, in ``suite_cells`` order, with one run per seed.  Cells differ only
+    in method and partition, so each seed's datasets are built once and
+    shared by its runs; a file() dataset is read once for the whole suite.
+    """
+    check_seeds(list(seeds), list(seeds))
+    built: dict[int | None, tuple[Dataset, Dataset]] = {}
+
+    def prepare(cell: ExperimentConfig, seed: int):
+        rcfg = replace(cell, seed=int(seed))
+        key = rcfg.seed if isinstance(cfg.dataset, SyntheticData) else None
+        data = prepare_experiment(rcfg, built.get(key))
+        built[key] = (data.train, data.test)
+        return rcfg, data
+
+    return [(mt, pt, [prepare(cell, s) for s in seeds])
+            for mt, pt, cell in suite_cells(cfg)]
 
 
 def run_federation(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fedsim.cli import cmd_run
-from fedsim.config import ExperimentConfig, SyntheticData, load_config, suite_cells
+from fedsim.config import ExperimentConfig, SyntheticData, load_config
 from fedsim.data import generate_synthetic, partition_shards_detailed
 from fedsim.evaluation import (
     accuracy,
@@ -24,8 +24,8 @@ from fedsim.evaluation import (
 )
 from fedsim.federation import (
     aggregate,
-    build_datasets,
     prepare_experiment,
+    prepare_suite,
     run_federation,
     select_clients,
 )
@@ -166,19 +166,19 @@ def trend_grid():
         suite_methods=("fedavg", "fedprox"),
         suite_partitions=("iid", "shards(2)", "shards(3)"),
     )
+    suite = prepare_suite(base, SEEDS)
     cells = {}
-    for mt, pt, cfg in suite_cells(base):
-        accs = [run_federation(replace(cfg, seed=s)).final_accuracy for s in SEEDS]
+    for mt, pt, runs in suite:
+        accs = [run_federation(cfg, data).final_accuracy for cfg, data in runs]
         mean, std = summarize_accuracies(accs)
         cells[(mt, pt)] = SimpleNamespace(mean=mean, std=std)
-    centralized = []
+    # Every cell of a seed shares its data; the first cell's runs carry it.
+    # centralized_train reads no field in which the cells differ.
     epochs = base.rounds * base.local_epochs
-    for s in SEEDS:
-        cfg = replace(base, seed=s)
-        train, test = build_datasets(cfg)
-        centralized.append(
-            accuracy(centralized_train(train, cfg, epochs), test)
-        )
+    centralized = [
+        accuracy(centralized_train(data.train, cfg, epochs), data.test)
+        for cfg, data in suite[0][2]
+    ]
     return {
         "cells": cells,
         "centralized": fmean(centralized),

@@ -197,6 +197,41 @@ def test_main_error_paths(tmp_path, capsys):
         main(["run"])  # --config is required
 
 
+@pytest.mark.parametrize("pad", [0, 10_000], ids=["early", "past-8KiB"])
+def test_a_config_that_is_not_utf8_names_the_file(tmp_path, capsys, pad):
+    # The position is the byte's offset in the file.
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"#" * pad + b"\nrounds = 3\n# caf\xe9\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xe9 in position "
+        f"{pad + 17}: invalid continuation byte\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_file_paths_resolve_against_the_working_directory(tmp_path, capsys, monkeypatch):
+    # Not against the config file's directory.
+    (tmp_path / "data").mkdir()
+    rows = [[float(i), 1.0, 0.0] for i in range(12)]
+    save_dataset(Dataset(rows, [i % 3 for i in range(12)], 3), tmp_path / "data" / "d.csv")
+    (tmp_path / "configs").mkdir()
+    cfg_path = tmp_path / "configs" / "file.cfg"
+    cfg_path.write_text("rounds = 1\nn_clients = 2\n"
+                        "dataset = file(train=data/d.csv, test=data/d.csv)\n",
+                        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--out", "out", "--quiet"]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_train"] == 12
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path / "configs")
+    assert main(["run", "--config", "file.cfg", "--out", "out", "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No such file or directory: 'data/d.csv'\n"
+    )
+    assert not (tmp_path / "configs" / "out").exists()
+
+
 def test_suite_writes_table_and_per_run_dirs(tmp_path, capsys):
     cfg_path = tmp_path / "suite.cfg"
     cfg_path.write_text(
@@ -353,6 +388,67 @@ def test_suite_reads_a_file_dataset_once(tmp_path, capsys, monkeypatch):
     assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
     assert len(reads) == 2  # train and test, for 2 cells x 2 seeds
     assert len(read_rows(out / "table.csv")) == 3
+
+
+def snapshot(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+SWEEP = TINY.replace("rounds = 3", "rounds = 1") + "partitions = iid, shards(2)\nseeds = 0, 1\n"
+
+
+def test_suite_rerun_of_the_same_sweep_overwrites_its_outputs(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SWEEP, encoding="utf-8")
+    out = tmp_path / "sweep"
+    argv = ["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    first = snapshot(out)
+    assert len(first) == 14  # 4 runs x 3 files, table.csv, suite.json
+    (out / "fedavg_iid" / "seed_0" / "rounds.csv").write_text("stale\n")
+    (out / "table.csv").write_text("stale\n")
+    assert main(argv) == 0
+    assert snapshot(out) == first
+
+
+@pytest.mark.parametrize(
+    "config, seeds",
+    [(SWEEP.replace("iid, shards(2)", "iid"), None),
+     (SWEEP + "methods = fedavg, fedprox\n", None),
+     (SWEEP, "1,0"),
+     (SWEEP, "0,1,2")],
+    ids=["fewer-partitions", "more-methods", "seed-order", "more-seeds"],
+)
+def test_suite_refuses_an_out_that_holds_another_sweep(tmp_path, capsys, config, seeds):
+    # Stale <combo>/seed_<s> directories would disagree with table.csv.
+    first = tmp_path / "first.cfg"
+    first.write_text(SWEEP, encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(first), "--out", str(out), "--quiet"]) == 0
+    before = snapshot(out)
+    capsys.readouterr()
+    other = tmp_path / "other.cfg"
+    other.write_text(config, encoding="utf-8")
+    argv = ["suite", "--config", str(other), "--out", str(out), "--quiet"]
+    assert main(argv + (["--seeds", seeds] if seeds else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {out / 'suite.json'}: holds another sweep's methods, partitions "
+        "or seeds; write this one to a new --out\n"
+    )
+    assert snapshot(out) == before
+
+
+def test_suite_refuses_an_out_with_an_unreadable_suite_record(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SWEEP, encoding="utf-8")
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "suite.json").write_text("{not json", encoding="utf-8")
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out / 'suite.json'}: holds another")
+    assert snapshot(out) == {"suite.json": b"{not json"}
 
 
 def test_suite_runs_bare_and_explicit_mu_cells_to_completion(tmp_path, capsys):

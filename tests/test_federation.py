@@ -12,6 +12,7 @@ from fedsim.federation import (
     aggregate,
     build_datasets,
     prepare_experiment,
+    prepare_suite,
     run_federation,
     select_clients,
 )
@@ -255,6 +256,43 @@ def test_prepare_experiment_rejects_bad_config():
 
     with pytest.raises(ConfigError, match="fraction"):
         prepare_experiment(tiny_config(fraction=0.0))
+
+
+def test_prepare_suite_builds_each_seeds_data_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return synthetic_train_test(*args)
+
+    monkeypatch.setattr("fedsim.federation.synthetic_train_test", counting)
+    cfg = tiny_config(suite_methods=("fedavg", "fedprox(0.3)"),
+                      suite_partitions=("iid", "shards(1)", "shards(2)"))
+    suite = prepare_suite(cfg, [4, 9])
+    assert len(calls) == 2
+    assert [(mt, pt) for mt, pt, _ in suite] == [
+        (mt, pt) for mt in ("fedavg", "fedprox(0.3)")
+        for pt in ("iid", "shards(1)", "shards(2)")
+    ]
+    for i, seed in enumerate((4, 9)):
+        runs = [cell_runs[i] for _, _, cell_runs in suite]
+        assert [rcfg.seed for rcfg, _ in runs] == [seed] * 6
+        first = runs[0][1]
+        assert all(d.train is first.train and d.test is first.test for _, d in runs)
+    assert suite[0][2][0][1].train is not suite[0][2][1][1].train
+
+
+def test_prepare_suite_runs_match_runs_prepared_alone():
+    cfg = tiny_config(suite_methods=("fedavg", "fedprox"),
+                      suite_partitions=("iid", "shards(2)"))
+    suite = prepare_suite(cfg, [0, 3])
+    assert sum(len(runs) for _, _, runs in suite) == 8
+    for _, _, runs in suite:
+        for rcfg, data in runs:
+            shared, alone = run_federation(rcfg, data), run_federation(rcfg)
+            assert shared.history == alone.history
+            assert same_params(shared.final_state.global_params,
+                               alone.final_state.global_params)
 
 
 def test_build_datasets_from_files(tmp_path):
