@@ -125,8 +125,9 @@ def cmd_suite(
     The sweep lists come from the config's ``methods``/``partitions`` keys and
     fall back to its single method/partition.  Every run is prepared before
     the first one trains, so an invalid cell, or an ``out`` whose suite.json
-    records another sweep, writes nothing.  Each (method, partition, seed)
-    run writes the same files as ``run`` under out/<combo>/seed_<s>/.
+    records another sweep, writes nothing.  suite.json is written before the
+    first run trains, and a run's error names its cell and seed.  Each run
+    writes the same files as ``run`` under out/<combo>/seed_<s>/.
     """
     seed_list = list(seeds) if seeds is not None else list(cfg.suite_seeds)
     suite = prepare_suite(cfg, seed_list)
@@ -147,12 +148,16 @@ def cmd_suite(
         raise ValueError(f"{record}: holds another sweep's methods, partitions or "
                          "seeds; write this one to a new --out")
     out.mkdir(parents=True, exist_ok=True)
+    _write_json(meta, record)  # before any run, so a failed sweep is still guarded
     rows: list[tuple[str, str, float, float]] = []
     for mt, pt, runs in suite:
         accs: list[float] = []
         for rcfg, data in runs:
             _log(quiet, f"suite: {mt} {pt} seed={rcfg.seed}")
-            result = run_federation(rcfg, data)
+            try:
+                result = run_federation(rcfg, data)
+            except ValueError as exc:
+                raise ValueError(f"{mt} {pt} seed={rcfg.seed}: {exc}") from None
             run_dir = out / f"{_slug(mt)}_{_slug(pt)}" / f"seed_{rcfg.seed}"
             _write_run_outputs(rcfg, data, result, run_dir)
             accs.append(result.final_accuracy)
@@ -163,7 +168,6 @@ def cmd_suite(
         f.write("method,partition,mean_accuracy,std\n")
         for mt, pt, mean, std in rows:
             f.write(f"{mt},{pt},{format_float(mean)},{format_float(std)}\n")
-    _write_json(meta, record)
     return 0
 
 

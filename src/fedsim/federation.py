@@ -115,15 +115,15 @@ def aggregate(
         raise ValueError(f"n_samples must be >= 1, got {min(n_samples)}")
     if weighting == "datasize":
         total = sum(n_samples)
-        coeffs = [n / total for n in n_samples]
+        coeffs = np.array([n / total for n in n_samples])
     else:
-        coeffs = [1.0 / len(weights)] * len(weights)
-    w = coeffs[0] * weights[0]
-    b = coeffs[0] * bias[0]
-    for c, wi, bi in zip(coeffs[1:], weights[1:], bias[1:]):
-        w += c * wi
-        b += c * bi
-    return ParamVector(w, b)
+        coeffs = np.full(len(weights), 1.0 / len(weights))
+    # One (m, C*d + C) stack, as numpy sums axis 0 in row order only for rows of
+    # 2+ entries (else pairwise); initial=-0.0 keeps an all -0.0 column at -0.0.
+    flat = weights.reshape(len(weights), -1)
+    rows = np.concatenate([flat, bias.reshape(len(bias), -1)], axis=1)
+    mean = (coeffs[:, None] * rows).sum(axis=0, initial=-0.0)
+    return ParamVector(mean[: flat.shape[1]].reshape(weights.shape[1:]), mean[flat.shape[1] :])
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,17 @@ selection, per-epoch shuffles) draws from its own stream, keyed by
 statistically independent, and a stream's output never depends on which other
 streams were consumed before it, so a client's shuffles are the same whether
 it trains alone or in a cohort.
+
+A stream is ``default_rng(SeedSequence(key))``.  ``pcg64_states`` derives a
+cohort's per-client, per-epoch streams in one pass, porting SeedSequence's
+mixing (O'Neill's seed_seq_fe) and PCG64's seeding to array operations; a
+test pins that it gives key_rng's PCG64 state, so a numpy whose SeedSequence
+changed would fail that test rather than silently change outputs.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +27,14 @@ SELECTION_STREAM = 2
 LOCAL_STREAM = 3
 
 SeedKey = int | tuple[int, ...]
+
+# numpy's SeedSequence constants (a pool of 4 uint32 words); PCG64's multiplier.
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_OTHERS = np.array([[d for d in range(4) if d != s] for s in range(4)])
 
 
 def as_key(seed: SeedKey) -> tuple[int, ...]:
@@ -36,3 +52,55 @@ def derive(seed: SeedKey, *path: int) -> tuple[int, ...]:
 def key_rng(seed: SeedKey) -> np.random.Generator:
     """Generator for the given key; equal keys yield identical streams."""
     return np.random.default_rng(np.random.SeedSequence(list(as_key(seed))))
+
+
+def _words(key: tuple[int, ...]) -> list[int]:
+    # Each value as its little-endian uint32 words, 0 as [0], like SeedSequence.
+    if min(key, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    if max(key, default=0) <= _MASK32:  # the usual case: one word per value
+        return list(key)
+    return [(v >> s) & _MASK32 for v in key for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    # init * mult**k mod 2**32 for k <= n, a column: call k xors row k, multiplies by row k+1.
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+    return r ^ (r >> 16)
+
+
+def _seed_words(words: np.ndarray) -> np.ndarray:
+    # (n, m) uint32 entropy words of m keys -> (4, m) uint64, the words of
+    # generate_state(4, uint64).  Arrays only: uint32 arrays wrap silently.
+    n, m = words.shape
+    h = _hash_consts(INIT_A, MULT_A, 16 + 4 * max(n - 4, 0))
+    pool = _hashmix(np.vstack([words[:4], np.zeros((max(4 - n, 0), m), np.uint32)]), h[:5])
+    for src, dst in enumerate(_OTHERS):  # pool[src] is fixed while it mixes into dst
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[4 + 3 * src : 8 + 3 * src]))
+    for src in range(4, n):  # then each extra word into all 4
+        pool = _mix(pool, _hashmix(words[src], h[4 * src : 4 * src + 5]))
+    out = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_consts(INIT_B, MULT_B, 8)).astype(np.uint64)
+    return out[0::2] | (out[1::2] << np.uint64(32))
+
+
+def pcg64_states(keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``key_rng(key).bit_generator`` for each key, in one pass."""
+    words = [_words(key) for key in keys]
+    states: list[tuple[int, int]] = [(0, 0)] * len(words)
+    for n in set(map(len, words)):
+        where = [p for p, w in enumerate(words) if len(w) == n]
+        block = np.array([words[p] for p in where], dtype=np.uint32).reshape(len(where), n)
+        for p, (s0, s1, q0, q1) in zip(where, _seed_words(block.T).T.tolist()):
+            inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
+            states[p] = (((((s0 << 64) | s1) + inc) * PCG64_MULT + inc) & _MASK128, inc)
+    return states

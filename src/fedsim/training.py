@@ -16,7 +16,7 @@ import numpy as np
 from .config import ExperimentConfig, validate_config
 from .data import ClientSplit, Dataset
 from .model import ParamVector, loss_grad
-from .seeds import SeedKey, derive, key_rng
+from .seeds import SeedKey, as_key, pcg64_states
 
 __all__ = ["DivergenceError", "train_cohort"]
 
@@ -105,14 +105,22 @@ def train_cohort(
     b = np.repeat(w_g.bias[None], len(rank), axis=0)
     orders = np.zeros((len(rank), sizes[0]), dtype=np.int64)
     losses = np.empty((len(rank), len(plan)))
+    # Each client's per-epoch stream, derive(seeds[i], epoch), seeded in one
+    # pass; shuffling in place draws what key_rng(...).permutation would.
+    keys = [as_key(seeds[i]) for i in rank]
+    states = pcg64_states([k + (e,) for e in range(cfg.local_epochs) for k in keys])
+    streams = iter([{"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0} for s, inc in states])
+    gen = np.random.Generator(np.random.PCG64(0))
     epoch = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(cfg.local_epochs):
                 for j, i in enumerate(rank):
-                    orders[j, : sizes[j]] = key_rng(derive(seeds[i], epoch)).permutation(
-                        splits[i].indices
-                    )
+                    gen.bit_generator.state = next(streams)
+                    row = orders[j, : sizes[j]]
+                    row[:] = splits[i].indices
+                    gen.shuffle(row)
                 record = epoch == cfg.local_epochs - 1
                 for step, groups in enumerate(plan):
                     start = step * bs

@@ -130,6 +130,26 @@ def scalar_weighted_mean(weights, bias, n_samples, weighting: str) -> ParamVecto
     return ParamVector(np.array(w), np.array(b))
 
 
+def left_to_right_mean(weights, bias, n_samples, weighting: str) -> ParamVector:
+    """aggregate's sum, one scalar at a time: c_0 * x_0, then + c_i * x_i in row order.
+
+    The coefficients are aggregate's own, n_i / sum(n) or 1/m, so every
+    rounding happens at the same place and the result must match bit for bit.
+    """
+    m, n_classes, feature_dim = weights.shape
+    total = sum(n_samples)
+    coeffs = [n / total if weighting == "datasize" else 1.0 / m for n in n_samples]
+
+    def column(values) -> float:
+        acc = coeffs[0] * float(values[0])
+        for c, v in zip(coeffs[1:], values[1:]):
+            acc += c * float(v)
+        return acc
+
+    w = [[column(weights[:, c, j]) for j in range(feature_dim)] for c in range(n_classes)]
+    return ParamVector(np.array(w), np.array([column(bias[:, c]) for c in range(n_classes)]))
+
+
 def max_abs_diff(a: ParamVector, b: ParamVector) -> float:
     return float(
         max(

@@ -451,6 +451,34 @@ def test_suite_refuses_an_out_with_an_unreadable_suite_record(tmp_path, capsys):
     assert snapshot(out) == {"suite.json": b"{not json"}
 
 
+def test_a_diverging_suite_names_its_run_and_still_guards_its_out(tmp_path, capsys):
+    # fedavg trains both seeds; fedprox(1e308) then overflows on its first run.
+    cfg_path = tmp_path / "div.cfg"
+    cfg_path.write_text(
+        "rounds = 3\nn_clients = 4\ndataset = synthetic(n_samples=200)\n"
+        "methods = fedavg, fedprox(1e308)\nseeds = 0, 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "fedavg iid: mean=1.0000 std=0.0000\n"
+    assert captured.err == (
+        "error: fedprox(1e308) iid seed=0: round 0, client 0, epoch 1: "
+        "local training diverged\n"
+    )
+    record = json.loads((out / "suite.json").read_text(encoding="utf-8"))
+    assert (record["methods"], record["partitions"], record["seeds"]) == (
+        ["fedavg", "fedprox(1e308)"], ["iid"], [0, 1])
+    assert not (out / "table.csv").exists()
+    before = snapshot(out)
+    other = tmp_path / "other.cfg"
+    other.write_text(SWEEP, encoding="utf-8")
+    assert main(["suite", "--config", str(other), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out / 'suite.json'}: holds another")
+    assert snapshot(out) == before
+
+
 def test_suite_runs_bare_and_explicit_mu_cells_to_completion(tmp_path, capsys):
     # A bare fedprox takes the config's mu (default 0.2), so it and
     # fedprox(0.3) are distinct cells, even though each cell's own config

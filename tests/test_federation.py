@@ -19,7 +19,8 @@ from fedsim.federation import (
 from fedsim.model import ParamVector
 from fedsim.seeds import LOCAL_STREAM, derive
 from fedsim.training import train_cohort
-from oracles import max_abs_diff, rand_params, same_params, scalar_weighted_mean, stack_params
+from oracles import (left_to_right_mean, max_abs_diff, rand_params, same_params,
+                     scalar_weighted_mean, stack_params)
 
 
 def tiny_config(**overrides):
@@ -120,6 +121,28 @@ def test_aggregate_matches_scalar_oracle():
             got = aggregate(weights, bias, n, weighting)
             want = scalar_weighted_mean(weights, bias, n, weighting)
             assert max_abs_diff(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 3), (3, 4)], ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("height", [1, 2, 3, 8, 9, 17, 64, 129, 200])
+def test_aggregate_sums_rows_left_to_right_bit_for_bit(height, shape):
+    # Stacks mix magnitudes, so any other summation order shows in the last
+    # bits; whole -0.0 columns check the sign of a zero sum.  Rows of one
+    # entry, (1, 1), are the shape numpy would sum pairwise on its own.
+    rng = np.random.default_rng(height * 10 + shape[1])
+    size = (height, *shape)
+    scale = rng.choice([1e-8, 1.0, 1e8, 0.0], size=size)
+    weights = rng.normal(size=size) * scale
+    bias = rng.normal(size=size[:2]) * scale[..., 0]
+    weights[:, 0, 0] = -0.0
+    n = rng.integers(1, 500, size=height).tolist()
+    for weighting in ("datasize", "uniform"):
+        got = aggregate(weights, bias, n, weighting)
+        want = left_to_right_mean(weights, bias, n, weighting)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
 
 
 def test_aggregate_permutation_invariant_within_tolerance():
