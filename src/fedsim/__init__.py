@@ -15,7 +15,6 @@ from .config import (
     load_config,
     parse_config,
     serialize_config,
-    validate_config,
 )
 from .data import (
     ClientSplit,
@@ -76,5 +75,4 @@ __all__ = [
     "serialize_config",
     "synthetic_train_test",
     "train_cohort",
-    "validate_config",
 ]

@@ -21,7 +21,6 @@ from .config import (
     config_to_dict,
     load_config,
     parse_seed_list,
-    validate_config,
 )
 from .data import (atomic_write, format_float, label_distribution,
                    save_label_distribution, save_partition)
@@ -194,7 +193,6 @@ def cmd_baseline(
     The epoch budget is rounds * local_epochs, the local-pass count a client
     selected every round would see.
     """
-    validate_config(cfg)
     train, test = build_datasets(cfg)
     epochs = cfg.rounds * cfg.local_epochs
     _log(quiet, f"baseline: {epochs} epochs on {train.n_samples} pooled samples")

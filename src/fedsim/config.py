@@ -1,5 +1,9 @@
 """Experiment configuration: parsing, validation, canonical serialization.
 
+An ExperimentConfig checks the rules below whenever it is built, by
+parse_config, its constructor or ``dataclasses.replace``, with the same
+ConfigError each way, so no invalid config exists to be checked again.
+
 Config files are flat text, one ``key = value`` setting per line.  ``#``
 starts a comment and blank lines are ignored.  Keys:
 
@@ -25,8 +29,9 @@ starts a comment and blank lines are ignored.  Keys:
                                                          (default: partition)
 
 Two sweep tokens that name the same cell, such as fedprox(0.3) and
-fedprox(.3), or a bare fedprox and fedprox(MU) at the config's mu, are
-rejected.
+fedprox(.3), are rejected.  So are a bare fedprox and fedprox(MU) at the
+config's mu, by parse_config and suite_cells only: a fedprox(MU) cell of a
+sweep with a bare fedprox keeps the sweep while it runs at MU.
 
 Unknown or duplicate keys are rejected; every constraint violation is
 reported with the offending key.  Values in file() paths cannot contain
@@ -60,7 +65,6 @@ __all__ = [
     "parse_seed_list",
     "serialize_config",
     "suite_cells",
-    "validate_config",
 ]
 
 OBJECTIVES = ("fedavg", "fedprox")
@@ -96,7 +100,8 @@ class ExperimentConfig:
 
     Defaults mirror the reference setup: FedAvg over 10 clients, half of them
     sampled per round, 100 rounds of 2 local epochs with batch size 64 and
-    learning rate 0.01, and fedprox's mu at 0.2.
+    learning rate 0.01, and fedprox's mu at 0.2.  Building one checks every
+    field and raises ConfigError at the first rule broken.
     """
 
     method: str = "fedavg"
@@ -115,6 +120,9 @@ class ExperimentConfig:
     weighting: str = "datasize"
     suite_methods: tuple[str, ...] = ()
     suite_partitions: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        _validate(self)
 
     def method_token(self) -> str:
         return "fedavg" if self.method == "fedavg" else f"fedprox({self.mu!r})"
@@ -192,28 +200,30 @@ def parse_partition_token(token: str) -> tuple[str, int | None]:
     raise ConfigError(f"partition: must be iid or shards(K), got {token!r}")
 
 
+def _resolve(key: str, tokens, parse_token, default=None) -> dict[tuple, str]:
+    """Resolved cell -> the token naming it; a bare token takes ``default``."""
+    seen: dict[tuple, str] = {}
+    parsed = [parse_token(t) for t in tokens]  # every token parses before a repeat
+    for t, (name, arg) in zip(tokens, parsed):
+        cell = (name, default if arg is None else arg)
+        if cell in seen:
+            raise ConfigError(f"{key}: {t!r} duplicates {seen[cell]!r}")
+        seen[cell] = t
+    return seen
+
+
 def suite_cells(cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]]:
     """The suite's cells as (method token, partition token, cell config).
 
     Methods are the outer loop.  The sweep lists default to the config's own
     method and partition, and a bare token takes the config's mu or shard
     count, so pass the suite's base config.  A token that names the same cell
-    as an earlier one raises ConfigError; the cell configs are not validated.
+    as an earlier one, or a cell its config cannot hold, raises ConfigError.
     """
-    def resolve(key, tokens, parse_token, default) -> dict[tuple, str]:
-        seen: dict[tuple, str] = {}  # resolved cell -> the token that named it
-        for t in tokens:
-            name, arg = parse_token(t)
-            cell = (name, default if arg is None else arg)
-            if cell in seen:
-                raise ConfigError(f"{key}: {t!r} duplicates {seen[cell]!r}")
-            seen[cell] = t
-        return seen
-
-    methods = resolve("methods", cfg.suite_methods or (cfg.method_token(),),
-                      parse_method_token, cfg.mu)
-    partitions = resolve("partitions", cfg.suite_partitions or (cfg.partition_token(),),
-                         parse_partition_token, cfg.shards_per_client)
+    methods = _resolve("methods", cfg.suite_methods or (cfg.method_token(),),
+                       parse_method_token, cfg.mu)
+    partitions = _resolve("partitions", cfg.suite_partitions or (cfg.partition_token(),),
+                          parse_partition_token, cfg.shards_per_client)
     return [
         (mt, pt, replace(cfg, method=name, mu=mu, partition_mode=mode,
                          shards_per_client=k))
@@ -313,7 +323,7 @@ class _Key(NamedTuple):
     parse: Callable[[str], dict[str, Any]]  # value text -> ExperimentConfig fields
     text: Callable[[ExperimentConfig], str | None]  # canonical value; None: no line
     echo: Callable[[ExperimentConfig], Any]  # its config_to_dict value
-    check: Callable[[ExperimentConfig], None] = lambda cfg: None
+    check: Callable[[ExperimentConfig], object] = lambda cfg: None
 
 
 def _field(name, kind, bad, rule, parse=None, then=lambda cfg: None) -> _Key:
@@ -334,24 +344,21 @@ def _field(name, kind, bad, rule, parse=None, then=lambda cfg: None) -> _Key:
 
 
 def _sweep(name: str, attr: str, parse_token: Callable) -> _Key:
-    """A comma list of sweep tokens; an empty list writes no line."""
+    """A comma list of sweep tokens naming distinct cells; empty writes no line."""
     def parse(text: str) -> dict[str, Any]:
         tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
         if not tokens:
             raise ConfigError(f"{name}: must list at least one {name[:-1]}")
         return {attr: tokens}
 
-    def check(cfg: ExperimentConfig) -> None:
-        for t in getattr(cfg, attr):
-            parse_token(t)
-
     return _Key(name, parse, lambda cfg: ", ".join(getattr(cfg, attr)) or None,
-                lambda cfg: list(getattr(cfg, attr)), check)
+                lambda cfg: list(getattr(cfg, attr)),
+                lambda cfg: _resolve(name, getattr(cfg, attr), parse_token))
 
 
-# One row per key, in canonical order.  Parsing, validate_config's per-key
-# checks, serialize_config and config_to_dict all walk this table.  The
-# dataset's checks come after it, in validate_config.
+# One row per key, in canonical order.  Parsing, the checks each
+# ExperimentConfig runs when built, serialize_config and config_to_dict all
+# walk this table; the dataset's checks follow it, in _validate.
 _TABLE = {k.name: k for k in (
     _field("method", str, lambda v: v not in OBJECTIVES, f"must be one of {OBJECTIVES}",
            parse=_parse_method_key),
@@ -380,7 +387,7 @@ _TABLE = {k.name: k for k in (
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text; see the module docstring for the grammar."""
+    """Parse config text into a checked config; see the module docstring."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -404,8 +411,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if k.name in entries:
             fields.update(k.parse(entries[k.name]))
     cfg = ExperimentConfig(**fields)
-    validate_config(cfg)
-    suite_cells(cfg)  # rejects duplicate cells; the suite validates each cell
+    # A bare fedprox at the base's mu duplicates fedprox(MU); see the docstring.
+    _resolve("methods", cfg.suite_methods, parse_method_token, cfg.mu)
     if "mu" in entries and cfg.method == "fedavg":
         warnings.warn("mu is ignored when method = fedavg", stacklevel=2)
     return cfg
@@ -420,7 +427,7 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from None
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def _validate(cfg: ExperimentConfig) -> None:
     """Check every field against its documented range; raise ConfigError."""
     for k in _TABLE.values():
         k.check(cfg)

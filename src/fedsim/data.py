@@ -76,7 +76,9 @@ class Dataset:
             raise ValueError(f"n_classes must be >= 1, got {c}")
         if y.size and ((y < 0).any() or (y >= c).any()):
             raise ValueError(f"labels must lie in [0, {c})")
-        counts = np.bincount(y, minlength=c)
+        # The first absent class is <= n_samples; a header may set n_classes far above.
+        m = min(c, y.size + 1)
+        counts = np.bincount(y[y < m], minlength=m)
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
             raise ValueError(f"class {missing} has no samples")

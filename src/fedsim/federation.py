@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import (WEIGHTINGS, ConfigError, ExperimentConfig, SyntheticData,
-                     check_seeds, clients_per_round, suite_cells, validate_config)
+                     check_seeds, clients_per_round, suite_cells)
 from .data import (
     ClientSplit,
     Dataset,
@@ -169,14 +169,13 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 def prepare_experiment(
     cfg: ExperimentConfig, datasets: tuple[Dataset, Dataset] | None = None
 ) -> ExperimentData:
-    """Validate the config, build the datasets, and partition the train set.
+    """Build the config's datasets and partition the train set.
 
     Pass ``datasets`` to reuse a (train, test) pair already built for the
     config's dataset.  A file() dataset's size is known only once it is read,
     so a partition it cannot hold raises a ConfigError naming the
     ``partition`` key here.
     """
-    validate_config(cfg)
     train, test = datasets if datasets is not None else build_datasets(cfg)
     pkey = derive(cfg.seed, PARTITION_STREAM)
     try:
@@ -230,8 +229,6 @@ def run_federation(
     """
     if data is None:
         data = prepare_experiment(cfg)
-    else:
-        validate_config(cfg)
     params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
     history: list[RoundReport] = []
     for r in range(cfg.rounds):

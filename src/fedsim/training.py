@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, validate_config
+from .config import ExperimentConfig
 from .data import ClientSplit, Dataset
 from .model import ParamVector, loss_grad
 from .seeds import SeedKey, as_key, pcg64_states
@@ -25,11 +25,8 @@ class DivergenceError(ValueError):
     """Local SGD overflowed, hit an invalid value, or left no float headroom."""
 
 
-def _check_cohort(
-    w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit],
-    cfg: ExperimentConfig, seeds: Sequence[SeedKey],
-) -> None:
-    validate_config(cfg)
+def _check_cohort(w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit],
+                  seeds: Sequence[SeedKey]) -> None:
     if not splits:
         raise ValueError("splits must be non-empty")
     if len(seeds) != len(splits):
@@ -75,7 +72,7 @@ def train_cohort(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run ``cfg.local_epochs`` epochs of mini-batch SGD for each client, in lockstep.
 
-    ``cfg``, checked first with validate_config, gives the training fields.
+    ``cfg``, checked when it was built, gives the training fields.
     Client i starts from a copy of ``w_g``.  Each epoch reshuffles its split's
     indices with its own stream, ``derive(seeds[i], epoch)``, then walks
     batches of ``cfg.batch_size`` in order, keeping the final partial batch.
@@ -94,7 +91,7 @@ def train_cohort(
     epoch, raises DivergenceError naming the first client, in the given
     order, whose training diverges on its own.
     """
-    _check_cohort(w_g, data, splits, cfg, seeds)
+    _check_cohort(w_g, data, splits, seeds)
     # Largest clients first, so that each step's groups are slices.
     rank = sorted(range(len(splits)), key=lambda i: -splits[i].n_samples)
     sizes = [splits[i].n_samples for i in rank]

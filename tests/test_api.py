@@ -1,5 +1,5 @@
 """The package's exported names, pinned so the API changes only on purpose,
-and the one module that writes files."""
+the one module that writes files, and the one that checks configs."""
 
 import ast
 from pathlib import Path
@@ -37,7 +37,6 @@ EXPORTS = [
     "serialize_config",
     "synthetic_train_test",
     "train_cohort",
-    "validate_config",
 ]
 
 
@@ -86,3 +85,27 @@ def test_only_the_atomic_writer_opens_files_for_writing():
         for fn, line in writers(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert [(name, fn) for name, fn, _ in found] == [("data.py", "atomic_write")], found
+
+
+# The config's rule check, under its current name and its former public one.
+RULE_CHECKS = {"_validate", "validate_config"}
+
+
+def identifiers(tree: ast.AST):
+    """(name, line) of every name, attribute and import under ``tree``."""
+    for node in ast.walk(tree):
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     node.name if isinstance(node, ast.alias) else None):
+            if name is not None:
+                yield name, getattr(node, "lineno", 0)
+
+
+def test_only_the_config_module_names_the_rule_check():
+    # ExperimentConfig runs its rules when it is built, so no other module has
+    # a reason to check a config again.
+    found = {}
+    for path in sorted(Path(fedsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.name] = [line for name, line in identifiers(tree) if name in RULE_CHECKS]
+    assert found.pop("config.py"), "the guard no longer sees the check it guards"
+    assert {name: lines for name, lines in found.items() if lines} == {}

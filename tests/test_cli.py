@@ -305,6 +305,18 @@ def test_suite_checks_every_cell_before_the_first_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_leaves_an_infeasible_sweep_cell_to_the_suite(tmp_path, capsys):
+    # run trains the base cell only, so a sweep cell it never builds cannot
+    # stop it; suite rejects the same config before it writes anything.
+    cfg_path = tmp_path / "infeasible.cfg"
+    cfg_path.write_text(TINY + "partitions = iid, shards(1000)\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == ["labels.csv", "rounds.csv",
+                                                     "summary.json"]
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -315,8 +327,8 @@ def test_suite_checks_every_cell_before_the_first_run(tmp_path, capsys):
     ids=["more-clients-than-rows", "fewer-shards-than-classes"],
 )
 def test_file_dataset_partition_errors_name_the_key(tmp_path, capsys, setting, message):
-    # A file() dataset's size is unknown until it is read, so these pass
-    # validate_config and fail when the rows are partitioned.
+    # A file() dataset's size is unknown until it is read, so these configs
+    # build and fail when the rows are partitioned.
     data = tmp_path / "six.csv"
     rows = [[float(i), 1.0, 0.0] for i in range(6)]
     save_dataset(Dataset(rows, [0, 0, 1, 1, 2, 2], 3), data)
@@ -335,8 +347,11 @@ def test_file_dataset_partition_errors_name_the_key(tmp_path, capsys, setting, m
         (b"2,3\n0,1,2\n99999999999999999999,3,4\n2,5,6\n", "{path}:3: malformed number"),
         (b"2,3\n0,1,2\n1,\xff,4\n2,5,6\n",
          "{path}: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+        (b"2,1000000000000000\n0,1,2\n1,3,4\n", "{path}: class 2 has no samples"),
+        (b"2,1000000000000000\n0,1,2\n999999999999999,3,4\n",
+         "{path}: class 1 has no samples"),
     ],
-    ids=["oversized-label", "not-utf8"],
+    ids=["oversized-label", "not-utf8", "oversized-class-count", "oversized-count-and-label"],
 )
 def test_run_reports_a_bad_dataset_file_in_one_line(tmp_path, capsys, raw, message):
     data = tmp_path / "data.csv"

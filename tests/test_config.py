@@ -20,7 +20,6 @@ from fedsim.config import (
     parse_seed_list,
     serialize_config,
     suite_cells,
-    validate_config,
 )
 
 
@@ -158,6 +157,8 @@ def test_sweep_keys():
     assert cfg.suite_partitions == ("iid", "shards(2)")
     with pytest.raises(ConfigError, match="must be one of"):
         parse_config("methods = fedavg, adam")
+    with pytest.raises(ConfigError, match="must be one of"):  # a bad token before a repeat
+        parse_config("methods = fedavg, fedavg, adam")
     with pytest.raises(ConfigError, match="iid or shards"):
         parse_config("partitions = pathological")
 
@@ -175,6 +176,19 @@ def test_sweep_keys():
 def test_duplicate_sweep_cells_name_the_key(text, key):
     with pytest.raises(ConfigError, match=f"^{key}: '.+' duplicates '.+'$"):
         parse_config(text)
+
+
+def test_a_config_with_duplicate_sweep_cells_cannot_be_built():
+    with pytest.raises(ConfigError, match="^methods: 'fedavg' duplicates 'fedavg'$"):
+        ExperimentConfig(suite_methods=("fedavg", "fedavg"))
+    # A fedprox(0.3) cell of a sweep with a bare fedprox keeps the sweep but
+    # runs at mu 0.3, so it builds; only as a suite's base is it a duplicate.
+    cell = ExperimentConfig(method="fedprox", mu=0.3,
+                            suite_methods=("fedprox", "fedprox(0.3)"))
+    with pytest.raises(ConfigError, match="^methods: 'fedprox\\(0.3\\)' duplicates"):
+        suite_cells(cell)
+    with pytest.raises(ConfigError, match="^methods: 'fedprox\\(0.3\\)' duplicates"):
+        parse_config(serialize_config(cell))
 
 
 def test_distinct_sweep_tokens_keep_their_text():
@@ -208,11 +222,11 @@ def test_suite_cells_default_to_the_config_and_resolve_tokens():
 
 def test_parse_config_leaves_sweep_cells_unvalidated():
     # 10 clients x 1000 shards exceed the 4000 training samples; only the
-    # suite, which runs the cell, rejects it.
+    # suite, which builds each cell's config, rejects it.
     cfg = parse_config("partitions = iid, shards(1000)")
-    infeasible = suite_cells(cfg)[1][2]
+    assert cfg.suite_partitions == ("iid", "shards(1000)")
     with pytest.raises(ConfigError, match="^partition: infeasible, 10000 shards"):
-        validate_config(infeasible)
+        suite_cells(cfg)
 
 
 def test_mu_warning_only_for_fedavg():
@@ -255,13 +269,13 @@ def test_range_violations_name_the_key(text, message):
 
 def test_validate_config_direct_field_checks():
     with pytest.raises(ConfigError, match="method"):
-        validate_config(replace(ExperimentConfig(), method="adam"))
+        replace(ExperimentConfig(), method="adam")
     with pytest.raises(ConfigError, match="partition"):
-        validate_config(replace(ExperimentConfig(), partition_mode="x"))
+        replace(ExperimentConfig(), partition_mode="x")
     with pytest.raises(ConfigError, match="seeds"):
-        validate_config(replace(ExperimentConfig(), suite_seeds=()))
+        replace(ExperimentConfig(), suite_seeds=())
     with pytest.raises(ConfigError, match="distinct"):
-        validate_config(replace(ExperimentConfig(), suite_seeds=(1, 1)))
+        replace(ExperimentConfig(), suite_seeds=(1, 1))
 
 
 def test_serialize_parse_roundtrip():

@@ -44,6 +44,14 @@ def test_dataset_validation():
         Dataset(x, np.array([0, 0, 0]), 2)
 
 
+def test_a_class_count_above_the_sample_count_is_rejected_without_allocating():
+    # An array sized by n_classes here would need 8 PB.
+    with pytest.raises(ValueError, match="^class 2 has no samples$"):
+        Dataset(np.zeros((2, 1)), np.array([0, 1]), 10**15)
+    with pytest.raises(ValueError, match="^class 1 has no samples$"):
+        Dataset(np.zeros((2, 1)), np.array([0, 10**15 - 1]), 10**15)
+
+
 def test_dataset_arrays_are_readonly_copies():
     x = np.zeros((2, 2))
     d = Dataset(x, np.array([0, 1]), 2)

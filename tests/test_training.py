@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.config import ConfigError, ExperimentConfig, validate_config
+from fedsim.config import ConfigError, ExperimentConfig
 from fedsim.data import ClientSplit, Dataset, generate_synthetic
 from fedsim.federation import aggregate
 from fedsim.model import ParamVector, loss_grad
@@ -40,17 +40,18 @@ BAD_TRAINING_FIELDS = [
 ]
 
 
-def test_train_cohort_rejects_a_bad_training_field():
-    d, split, w0 = small_problem()
+def test_a_bad_training_field_never_becomes_a_config():
+    # train_cohort reads its training fields from a config, so a bad one is
+    # stopped where the config is built, before any training.
     for name, value, message in BAD_TRAINING_FIELDS:
-        cfg = replace(ExperimentConfig(), **{name: value})
         with pytest.raises(ConfigError) as info:
-            train_cohort(w0, d, [split], cfg, [0])
+            replace(ExperimentConfig(), **{name: value})
         assert str(info.value) == message
 
 
-# One out-of-range value for each training field; validate_config's rule
-# table is the only place that decides what is out of range.
+# One out-of-range value for each training field; the config's rule table,
+# which every ExperimentConfig runs when it is built, is the only place that
+# decides what is out of range.
 OUT_OF_RANGE = {
     "learning_rate": st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
     "batch_size": st.integers(max_value=0),
@@ -64,15 +65,13 @@ OUT_OF_RANGE = {
 @given(bad=st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
     lambda name: st.tuples(st.just(name), OUT_OF_RANGE[name])
 ))
-def test_train_cohort_rejects_what_validate_config_rejects(bad):
+def test_construction_and_replace_reject_a_bad_training_field_alike(bad):
     name, value = bad
-    d, split, w0 = small_problem()
-    cfg = replace(ExperimentConfig(), **{name: value})
     with pytest.raises(ConfigError) as want:
-        validate_config(cfg)
+        ExperimentConfig(**{name: value})
     assert str(want.value).startswith(f"{name}: ")
     with pytest.raises(ConfigError) as got:
-        train_cohort(w0, d, [split], cfg, [0])
+        replace(ExperimentConfig(), **{name: value})
     assert str(got.value) == str(want.value)
 
 
@@ -120,11 +119,10 @@ def test_local_train_at_tiny_learning_rate_stays_at_global_params():
     # learning_rate must be > 0.  At 1e-300, three epochs of steps on features
     # below 15 in size move no coordinate further than 1e-296 from w_g.
     d, split, w0 = small_problem()
-    cfg = ExperimentConfig(learning_rate=0.0, batch_size=8, local_epochs=3)
     with pytest.raises(ConfigError, match="^learning_rate: must be > 0, got 0.0$"):
-        train_cohort(w0, d, [split], cfg, [4])
+        ExperimentConfig(learning_rate=0.0, batch_size=8, local_epochs=3)
     assert np.abs(d.features).max() < 15
-    cfg = replace(cfg, learning_rate=1e-300)
+    cfg = ExperimentConfig(learning_rate=1e-300, batch_size=8, local_epochs=3)
     weights, bias, losses = train_cohort(w0, d, [split], cfg, [4])
     assert (weights.shape, bias.shape, losses.shape) == ((1, 3, 5), (1, 3), (1,))
     assert np.abs(weights[0] - w0.weights).max() <= 1e-296
