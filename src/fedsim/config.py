@@ -1,8 +1,9 @@
 """Experiment configuration: parsing, validation, canonical serialization.
 
-An ExperimentConfig checks the rules below whenever it is built, by
-parse_config, its constructor or ``dataclasses.replace``, with the same
-ConfigError each way, so no invalid config exists to be checked again.
+An ExperimentConfig checks its own fields against the rules below whenever
+it is built, by parse_config, its constructor or ``dataclasses.replace``,
+with the same ConfigError each way.  What a dataset can hold is checked when
+its data is built (see federation.prepare_experiment).
 
 Config files are flat text, one ``key = value`` setting per line.  ``#``
 starts a comment and blank lines are ignored.  Keys:
@@ -29,9 +30,8 @@ starts a comment and blank lines are ignored.  Keys:
                                                          (default: partition)
 
 Two sweep tokens that name the same cell, such as fedprox(0.3) and
-fedprox(.3), are rejected.  So are a bare fedprox and fedprox(MU) at the
-config's mu, by parse_config and suite_cells only: a fedprox(MU) cell of a
-sweep with a bare fedprox keeps the sweep while it runs at MU.
+fedprox(.3), or a bare fedprox and fedprox(MU) at the config's mu, are
+rejected.
 
 Unknown or duplicate keys are rejected; every constraint violation is
 reported with the offending key.  Values in file() paths cannot contain
@@ -92,6 +92,10 @@ class FileData:
 
     train_path: str
     test_path: str
+
+    def __post_init__(self) -> None:
+        if not self.train_path or not self.test_path:
+            raise ConfigError("dataset: file paths must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,7 @@ def parse_partition_token(token: str) -> tuple[str, int | None]:
     raise ConfigError(f"partition: must be iid or shards(K), got {token!r}")
 
 
-def _resolve(key: str, tokens, parse_token, default=None) -> dict[tuple, str]:
+def _resolve(key: str, tokens, parse_token, default) -> dict[tuple, str]:
     """Resolved cell -> the token naming it; a bare token takes ``default``."""
     seen: dict[tuple, str] = {}
     parsed = [parse_token(t) for t in tokens]  # every token parses before a repeat
@@ -216,17 +220,17 @@ def suite_cells(cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]
     """The suite's cells as (method token, partition token, cell config).
 
     Methods are the outer loop.  The sweep lists default to the config's own
-    method and partition, and a bare token takes the config's mu or shard
-    count, so pass the suite's base config.  A token that names the same cell
-    as an earlier one, or a cell its config cannot hold, raises ConfigError.
+    method and partition, and a bare fedprox takes its mu, so pass the
+    suite's base config.  A cell's config describes its run alone: no sweep,
+    and iid at the default shard count, so it round-trips serialize_config.
     """
     methods = _resolve("methods", cfg.suite_methods or (cfg.method_token(),),
                        parse_method_token, cfg.mu)
     partitions = _resolve("partitions", cfg.suite_partitions or (cfg.partition_token(),),
-                          parse_partition_token, cfg.shards_per_client)
+                          parse_partition_token, ExperimentConfig.shards_per_client)
     return [
         (mt, pt, replace(cfg, method=name, mu=mu, partition_mode=mode,
-                         shards_per_client=k))
+                         shards_per_client=k, suite_methods=(), suite_partitions=()))
         for (name, mu), mt in methods.items()
         for (mode, k), pt in partitions.items()
     ]
@@ -264,8 +268,6 @@ def _parse_dataset(text: str) -> SyntheticData | FileData:
         kwargs = _kwargs_form("dataset", args or "")
         if set(kwargs) != {"train", "test"}:
             raise ConfigError("dataset: file requires train= and test= paths")
-        if not kwargs["train"] or not kwargs["test"]:
-            raise ConfigError("dataset: file paths must be non-empty")
         return FileData(train_path=kwargs["train"], test_path=kwargs["test"])
     raise ConfigError(f"dataset: must be synthetic(...) or file(...), got {text!r}")
 
@@ -343,8 +345,9 @@ def _field(name, kind, bad, rule, parse=None, then=lambda cfg: None) -> _Key:
                 lambda cfg: getattr(cfg, name), check)
 
 
-def _sweep(name: str, attr: str, parse_token: Callable) -> _Key:
-    """A comma list of sweep tokens naming distinct cells; empty writes no line."""
+def _sweep(name: str, attr: str, parse_token: Callable, default: str) -> _Key:
+    """A comma list of sweep tokens naming distinct cells, a bare one at the
+    config's field ``default``; empty writes no line."""
     def parse(text: str) -> dict[str, Any]:
         tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
         if not tokens:
@@ -353,12 +356,13 @@ def _sweep(name: str, attr: str, parse_token: Callable) -> _Key:
 
     return _Key(name, parse, lambda cfg: ", ".join(getattr(cfg, attr)) or None,
                 lambda cfg: list(getattr(cfg, attr)),
-                lambda cfg: _resolve(name, getattr(cfg, attr), parse_token))
+                lambda cfg: _resolve(name, getattr(cfg, attr), parse_token,
+                                     getattr(cfg, default)))
 
 
 # One row per key, in canonical order.  Parsing, the checks each
 # ExperimentConfig runs when built, serialize_config and config_to_dict all
-# walk this table; the dataset's checks follow it, in _validate.
+# walk this table.
 _TABLE = {k.name: k for k in (
     _field("method", str, lambda v: v not in OBJECTIVES, f"must be one of {OBJECTIVES}",
            parse=_parse_method_key),
@@ -381,8 +385,8 @@ _TABLE = {k.name: k for k in (
          lambda cfg: check_seeds(cfg.suite_seeds, cfg.suite_seeds)),
     _field("weighting", str, lambda v: v not in WEIGHTINGS,
            f"must be one of {WEIGHTINGS}"),
-    _sweep("methods", "suite_methods", parse_method_token),
-    _sweep("partitions", "suite_partitions", parse_partition_token),
+    _sweep("methods", "suite_methods", parse_method_token, "mu"),
+    _sweep("partitions", "suite_partitions", parse_partition_token, "shards_per_client"),
 )}
 
 
@@ -411,8 +415,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if k.name in entries:
             fields.update(k.parse(entries[k.name]))
     cfg = ExperimentConfig(**fields)
-    # A bare fedprox at the base's mu duplicates fedprox(MU); see the docstring.
-    _resolve("methods", cfg.suite_methods, parse_method_token, cfg.mu)
     if "mu" in entries and cfg.method == "fedavg":
         warnings.warn("mu is ignored when method = fedavg", stacklevel=2)
     return cfg
@@ -431,55 +433,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     """Check every field against its documented range; raise ConfigError."""
     for k in _TABLE.values():
         k.check(cfg)
-    ds = cfg.dataset
-    if not isinstance(ds, SyntheticData):
-        if not ds.train_path or not ds.test_path:
-            raise ConfigError("dataset: file paths must be non-empty")
-        return
-    if ds.n_classes < 2:
-        raise ConfigError(f"dataset: n_classes must be >= 2, got {ds.n_classes}")
-    if ds.feature_dim < ds.n_classes:
-        raise ConfigError(
-            f"dataset: feature_dim must be >= n_classes, got "
-            f"{ds.feature_dim} < {ds.n_classes}"
-        )
-    if not ds.separation > 0:
-        raise ConfigError(f"dataset: separation must be > 0, got {ds.separation}")
-    if not 0.0 < ds.test_fraction < 1.0:
-        raise ConfigError(
-            f"dataset: test_fraction must be in (0, 1), got {ds.test_fraction}"
-        )
-    n_test = int(round(ds.test_fraction * ds.n_samples))
-    n_train = ds.n_samples - n_test
-    if n_train < ds.n_classes or n_test < ds.n_classes:
-        raise ConfigError(
-            f"dataset: {ds.n_samples} samples leave train={n_train}, "
-            f"test={n_test}; both must be >= n_classes ({ds.n_classes})"
-        )
-    total = cfg.n_clients * cfg.shards_per_client
-    if cfg.partition_mode == "iid" and cfg.n_clients > n_train:
-        raise ConfigError(
-            f"partition: {cfg.n_clients} clients cannot split "
-            f"{n_train} training samples"
-        )
-    if cfg.partition_mode == "shards" and total > n_train:
-        raise ConfigError(
-            f"partition: infeasible, {total} shards ({cfg.n_clients} clients x "
-            f"{cfg.shards_per_client}) exceed {n_train} training samples"
-        )
-    if cfg.partition_mode == "shards" and total < ds.n_classes:
-        raise ConfigError(
-            f"partition: infeasible, {total} shards cannot cover "
-            f"{ds.n_classes} classes with one shard each"
-        )
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: every key explicit, fixed order, LF line ends.
 
     Floats render with repr, which round-trips exactly, so
-    ``parse_config(serialize_config(cfg)) == cfg`` for any valid config whose
-    iid partition keeps the default shard count (``iid`` names none).
+    ``parse_config(serialize_config(cfg)) == cfg`` for any config whose iid
+    partition keeps the default shard count (``iid`` names none), which
+    every config suite_cells builds does.
     """
     lines = [f"{n} = {v}" for n, k in _TABLE.items() if (v := k.text(cfg)) is not None]
     return "\n".join(lines) + "\n"

@@ -177,14 +177,17 @@ def synthetic_train_test(
 ) -> tuple[Dataset, Dataset]:
     """Train and held-out test sets drawn from the same mixture.
 
-    ``round(test_fraction * n_samples)`` samples go to the test set; the two
-    sets come from independent streams derived from the seed, so the test set
-    is never partitioned to clients.
+    ``round(test_fraction * n_samples)`` samples go to the test set, and each
+    set must hold every class; the two sets come from independent streams
+    derived from the seed, so the test set is never partitioned to clients.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n_test = int(round(test_fraction * n_samples))
     n_train = n_samples - n_test
+    if min(n_train, n_test) < n_classes:
+        raise ValueError(f"{n_samples} samples leave train={n_train}, test={n_test}; "
+                         f"both must be >= n_classes ({n_classes})")
     train = generate_synthetic(
         n_train, n_classes, feature_dim, separation, derive(seed, 0)
     )

@@ -145,17 +145,18 @@ class FederationResult:
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Materialize (train, test) from the config's dataset description."""
+    """Materialize (train, test) from the config's dataset description.
+
+    A synthetic() argument the generator rejects raises a ConfigError.
+    """
     ds = cfg.dataset
     if isinstance(ds, SyntheticData):
-        return synthetic_train_test(
-            ds.n_samples,
-            ds.n_classes,
-            ds.feature_dim,
-            ds.separation,
-            ds.test_fraction,
-            derive(cfg.seed, DATA_STREAM),
-        )
+        try:
+            return synthetic_train_test(ds.n_samples, ds.n_classes, ds.feature_dim,
+                                        ds.separation, ds.test_fraction,
+                                        derive(cfg.seed, DATA_STREAM))
+        except ValueError as exc:
+            raise ConfigError(f"dataset: {exc}") from None
     train = load_dataset(ds.train_path)
     test = load_dataset(ds.test_path)
     if train.feature_dim != test.feature_dim or train.n_classes != test.n_classes:
@@ -172,9 +173,9 @@ def prepare_experiment(
     """Build the config's datasets and partition the train set.
 
     Pass ``datasets`` to reuse a (train, test) pair already built for the
-    config's dataset.  A file() dataset's size is known only once it is read,
-    so a partition it cannot hold raises a ConfigError naming the
-    ``partition`` key here.
+    config's dataset.  The data layer decides what a dataset can hold, so a
+    synthetic() or file() dataset that cannot hold its partition raises a
+    ConfigError naming the ``partition`` key here.
     """
     train, test = datasets if datasets is not None else build_datasets(cfg)
     pkey = derive(cfg.seed, PARTITION_STREAM)
@@ -194,15 +195,16 @@ def prepare_suite(
     """Prepare every run of a suite before any of them trains.
 
     Returns (method token, partition token, [(run config, data), ...]) per
-    cell, in ``suite_cells`` order, with one run per seed.  Cells differ only
-    in method and partition, so each seed's datasets are built once and
-    shared by its runs; a file() dataset is read once for the whole suite.
+    cell, in ``suite_cells`` order, with one run per seed, whose config
+    lists that seed alone.  Cells differ only in method and partition, so
+    each seed's datasets are built once and shared by its runs; a file()
+    dataset is read once for the whole suite.
     """
     check_seeds(list(seeds), list(seeds))
     built: dict[int | None, tuple[Dataset, Dataset]] = {}
 
     def prepare(cell: ExperimentConfig, seed: int):
-        rcfg = replace(cell, seed=int(seed))
+        rcfg = replace(cell, seed=int(seed), suite_seeds=(int(seed),))
         key = rcfg.seed if isinstance(cfg.dataset, SyntheticData) else None
         data = prepare_experiment(rcfg, built.get(key))
         built[key] = (data.train, data.test)

@@ -1,5 +1,6 @@
 """The package's exported names, pinned so the API changes only on purpose,
-the one module that writes files, and the one that checks configs."""
+the one module that writes files, the one that checks configs, and the
+config module's independence from the rest of the package."""
 
 import ast
 from pathlib import Path
@@ -109,3 +110,24 @@ def test_only_the_config_module_names_the_rule_check():
         found[path.name] = [line for name, line in identifiers(tree) if name in RULE_CHECKS]
     assert found.pop("config.py"), "the guard no longer sees the check it guards"
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def fedsim_imports(tree: ast.AST):
+    """(module, line) of each import under ``tree`` from the fedsim package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith(".") or name.split(".")[0] == "fedsim":
+                yield name, node.lineno
+
+
+def test_the_config_module_imports_no_other_fedsim_module():
+    # A config checks its own fields; what a dataset can hold is the data
+    # layer's rule alone, so config.py must not call into data to check it.
+    path = Path(fedsim.__file__).parent / "config.py"
+    assert list(fedsim_imports(ast.parse(path.read_text(encoding="utf-8")))) == []

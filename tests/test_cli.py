@@ -15,7 +15,7 @@ from fedsim.cli import cmd_inspect_partition, cmd_run, cmd_suite, main
 from fedsim.config import ConfigError, config_fingerprint, load_config, parse_config
 from fedsim.data import Dataset, format_float, load_dataset, save_dataset
 from fedsim.evaluation import summarize_accuracies
-from fedsim.federation import select_clients
+from fedsim.federation import build_datasets, select_clients
 
 TINY = """\
 rounds = 3
@@ -299,9 +299,7 @@ def test_suite_checks_every_cell_before_the_first_run(tmp_path, capsys):
     assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: partition: infeasible, 4000 shards")
+    assert captured.err == "error: partition: 4000 shards cannot be built from 160 samples\n"
     assert not out.exists()
 
 
@@ -339,6 +337,41 @@ def test_file_dataset_partition_errors_name_the_key(tmp_path, capsys, setting, m
     assert main(["run", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: partition: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("partition = shards(5)", "50 shards cannot be built from 40 samples"),
+        ("n_clients = 1\npartition = shards(2)",
+         "need at least one shard per class: 2 shards for 4 classes"),
+        ("n_clients = 45", "cannot split 40 samples across 45 clients"),
+    ],
+    ids=["more-shards-than-rows", "fewer-shards-than-classes", "more-clients-than-rows"],
+)
+def test_synthetic_and_file_datasets_share_the_partition_errors(tmp_path, capsys,
+                                                                setting, message):
+    # One rule, in the data layer, for both dataset kinds: the same 40 train
+    # rows as synthetic() and as file() give the same line, before any write.
+    synthetic = "dataset = synthetic(n_samples=50, feature_dim=4)\n"
+    cfg = parse_config(synthetic)
+    train, test = build_datasets(cfg)
+    save_dataset(train, tmp_path / "train.csv")
+    save_dataset(test, tmp_path / "test.csv")
+    file = f"dataset = file(train={tmp_path / 'train.csv'}, test={tmp_path / 'test.csv'})\n"
+    for i, dataset in enumerate((synthetic, file)):
+        cfg_path = tmp_path / f"{i}.cfg"
+        cfg_path.write_text(f"rounds = 2\nfraction = 1\n{setting}\n{dataset}", encoding="utf-8")
+        for command in ("run", "inspect-partition"):
+            out = tmp_path / f"{command}{i}"
+            assert main([command, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+            assert capsys.readouterr() == ("", f"error: partition: {message}\n")
+            assert not out.exists()
+        # The pooled baseline builds no partition.
+        out = tmp_path / f"baseline{i}"
+        assert main(["baseline", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().out.startswith("centralized_accuracy=")
+        assert (out / "baseline.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -517,6 +550,21 @@ def test_suite_runs_bare_and_explicit_mu_cells_to_completion(tmp_path, capsys):
     for combo, mu in [("fedprox_shards-1", 0.2), ("fedprox-0.3_shards-1", 0.3)]:
         summary = json.loads((out / combo / "seed_0" / "summary.json").read_text())
         assert summary["config"]["mu"] == mu
+
+
+def test_a_suite_run_echoes_its_own_run_not_the_sweep(tmp_path, capsys):
+    cfg_path = tmp_path / "suite.cfg"
+    cfg_path.write_text(TINY.replace("rounds = 3", "rounds = 1")
+                        + "methods = fedavg, fedprox(0.3)\n", encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["suite", "--config", str(cfg_path), "--out", str(out), "--quiet",
+                 "--seeds", "5,6"]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "fedprox-0.3_iid" / "seed_5" / "summary.json").read_text())
+    echo = summary["config"]
+    assert (echo["seed"], echo["seeds"], echo["mu"]) == (5, [5], 0.3)
+    assert (echo["methods"], echo["partitions"]) == ([], [])
+    assert json.loads((out / "suite.json").read_text())["seeds"] == [5, 6]
 
 
 def test_suite_seed_override_and_single_seed_std(tmp_path, capsys):

@@ -21,6 +21,7 @@ from fedsim.config import (
     serialize_config,
     suite_cells,
 )
+from fedsim.federation import prepare_experiment, prepare_suite
 
 
 def test_empty_config_gives_defaults():
@@ -135,6 +136,8 @@ def test_dataset_file_form():
         parse_config("dataset = file(train=/tmp/a.csv)")
     with pytest.raises(ConfigError, match="non-empty"):
         parse_config("dataset = file(train=, test=)")
+    with pytest.raises(ConfigError, match="^dataset: file paths must be non-empty$"):
+        FileData("a.csv", "")
 
 
 def test_seed_list_parsing():
@@ -181,14 +184,16 @@ def test_duplicate_sweep_cells_name_the_key(text, key):
 def test_a_config_with_duplicate_sweep_cells_cannot_be_built():
     with pytest.raises(ConfigError, match="^methods: 'fedavg' duplicates 'fedavg'$"):
         ExperimentConfig(suite_methods=("fedavg", "fedavg"))
-    # A fedprox(0.3) cell of a sweep with a bare fedprox keeps the sweep but
-    # runs at mu 0.3, so it builds; only as a suite's base is it a duplicate.
-    cell = ExperimentConfig(method="fedprox", mu=0.3,
-                            suite_methods=("fedprox", "fedprox(0.3)"))
+    # At mu 0.3 a bare fedprox is fedprox(0.3), however the config is built.
     with pytest.raises(ConfigError, match="^methods: 'fedprox\\(0.3\\)' duplicates"):
-        suite_cells(cell)
-    with pytest.raises(ConfigError, match="^methods: 'fedprox\\(0.3\\)' duplicates"):
-        parse_config(serialize_config(cell))
+        ExperimentConfig(method="fedprox", mu=0.3, suite_methods=("fedprox", "fedprox(0.3)"))
+    # At the default mu they are two cells, and each cell's config lists no
+    # sweep, so it loads back from its own serialization.
+    base = ExperimentConfig(method="fedprox", suite_methods=("fedprox", "fedprox(0.3)"))
+    cells = suite_cells(base)
+    assert [(c.mu, c.suite_methods) for _, _, c in cells] == [(0.2, ()), (0.3, ())]
+    for _, _, cell in cells:
+        assert parse_config(serialize_config(cell)) == cell
 
 
 def test_distinct_sweep_tokens_keep_their_text():
@@ -215,18 +220,21 @@ def test_suite_cells_default_to_the_config_and_resolve_tokens():
     assert (mt, pt) == ("fedprox(0.3)", "shards(3)")
     assert cell == cfg
     cfg = replace(cfg, suite_partitions=("Shards(02)", "iid"))
-    assert [c.shards_per_client for _, _, c in suite_cells(cfg)] == [2, 3]
+    # iid names no shard count, so its cell keeps the default, not the base's 3.
+    assert [c.shards_per_client for _, _, c in suite_cells(cfg)] == [2, 2]
     with pytest.raises(ConfigError, match="^partitions: 'shards\\(2\\)' duplicates"):
         suite_cells(replace(cfg, suite_partitions=("shards(02)", "shards(2)")))
 
 
 def test_parse_config_leaves_sweep_cells_unvalidated():
-    # 10 clients x 1000 shards exceed the 4000 training samples; only the
-    # suite, which builds each cell's config, rejects it.
+    # 10 clients x 1000 shards exceed the 4000 training samples; the cell's
+    # config builds, and only preparing its data rejects it.
     cfg = parse_config("partitions = iid, shards(1000)")
     assert cfg.suite_partitions == ("iid", "shards(1000)")
-    with pytest.raises(ConfigError, match="^partition: infeasible, 10000 shards"):
-        suite_cells(cfg)
+    assert [c.shards_per_client for _, _, c in suite_cells(cfg)] == [2, 1000]
+    with pytest.raises(ConfigError, match="^partition: 10000 shards cannot be built "
+                                          "from 4000 samples$"):
+        prepare_suite(cfg, [0])
 
 
 def test_mu_warning_only_for_fedavg():
@@ -236,6 +244,20 @@ def test_mu_warning_only_for_fedavg():
         warnings.simplefilter("error")
         parse_config("method = fedprox\nmu = 0.5")
         parse_config("method = fedavg")
+
+
+# What a dataset can hold is the data layer's rule: these configs build, and
+# preparing their data raises, naming the dataset or partition key.
+DATA_RULES = [
+    ("dataset = synthetic(n_classes=1)", "n_classes"),
+    ("dataset = synthetic(n_classes=8, feature_dim=4)", "feature_dim"),
+    ("dataset = synthetic(separation=0)", "separation"),
+    ("dataset = synthetic(test_fraction=0)", "test_fraction"),
+    ("dataset = synthetic(n_samples=6)", "must be >= n_classes"),
+    ("dataset = synthetic(n_samples=50)\npartition = shards(5)", "cannot be built"),
+    ("n_clients = 1\npartition = shards(2)\nfraction = 1", "one shard per class"),
+    ("dataset = synthetic(n_samples=50)\nn_clients = 45\nfraction = 1", "cannot split"),
+]
 
 
 @pytest.mark.parametrize(
@@ -252,19 +274,17 @@ def test_mu_warning_only_for_fedavg():
         ("n_clients = 0", "n_clients"),
         ("seed = -1", "seed"),
         ("weighting = harmonic", "weighting"),
-        ("dataset = synthetic(n_classes=1)", "n_classes"),
-        ("dataset = synthetic(n_classes=8, feature_dim=4)", "feature_dim"),
-        ("dataset = synthetic(separation=0)", "separation"),
-        ("dataset = synthetic(test_fraction=0)", "test_fraction"),
-        ("dataset = synthetic(n_samples=6)", "must be >= n_classes"),
-        ("dataset = synthetic(n_samples=50)\npartition = shards(5)", "infeasible"),
-        ("n_clients = 1\npartition = shards(2)\nfraction = 1", "cannot cover"),
-        ("dataset = synthetic(n_samples=50)\nn_clients = 45\nfraction = 1", "cannot split"),
+        *DATA_RULES,
     ],
 )
 def test_range_violations_name_the_key(text, message):
-    with pytest.raises(ConfigError, match=message):
-        parse_config(text)
+    if (text, message) not in DATA_RULES:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        return
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError, match=f"^(dataset|partition): .*{message}"):
+        prepare_experiment(cfg)
 
 
 def test_validate_config_direct_field_checks():

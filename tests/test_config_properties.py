@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from fedsim.config import (
     config_to_dict,
     parse_config,
     serialize_config,
+    suite_cells,
 )
+from fedsim.federation import ExperimentData, prepare_suite
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 path = st.text("abcXYZ019/._-", min_size=1, max_size=16)
@@ -42,7 +45,6 @@ def configs(draw):
     # "partition = iid" carries no shard count, so an iid config re-parses
     # with the default one.
     k = draw(st.integers(1, 5)) if mode == "shards" else 2
-    assume(mode == "iid" or n_clients * k >= n_classes)
     mu = draw(st.floats(min_value=0.0, max_value=1e6))
 
     mus = draw(st.lists(st.floats(min_value=0.0, max_value=1e3), unique=True, max_size=3))
@@ -80,6 +82,24 @@ def test_serialize_parse_roundtrip_property(cfg):
         warnings.simplefilter("ignore")  # fedavg configs warn that mu is ignored
         assert parse_config(serialize_config(cfg)) == cfg
     json.dumps(config_to_dict(cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=configs())
+def test_every_config_a_suite_builds_round_trips(cfg):
+    # A cell's or a run's config describes that run alone, so the config a
+    # run echoes loads back as itself.  No data is built: only configs are.
+    unbuilt = ExperimentData(train=None, test=None, splits=())
+    with mock.patch("fedsim.federation.prepare_experiment", return_value=unbuilt):
+        runs = [rcfg for _, _, cell_runs in prepare_suite(cfg, cfg.suite_seeds)
+                for rcfg, _ in cell_runs]
+    cells = [cell for _, _, cell in suite_cells(cfg)]
+    seeds = [(s, (s,)) for s in cfg.suite_seeds]
+    assert [(r.seed, r.suite_seeds) for r in runs] == seeds * len(cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fedavg configs warn that mu is ignored
+        for built in cells + runs:
+            assert parse_config(serialize_config(built)) == built
 
 
 FULL = """\

@@ -132,6 +132,10 @@ def test_train_test_sizes_and_independence():
         synthetic_train_test(100, 2, 4, 2.0, 0.0, 0)
     with pytest.raises(ValueError, match="test_fraction"):
         synthetic_train_test(100, 2, 4, 2.0, 1.0, 0)
+    # Each set must hold every class.
+    with pytest.raises(ValueError, match=r"^6 samples leave train=5, test=1; "
+                                         r"both must be >= n_classes \(4\)$"):
+        synthetic_train_test(6, 4, 16, 6.0, 0.2, 0)
 
 
 def test_partition_iid_disjoint_exhaustive_near_equal():
