@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .config import (
     ConfigError,
     ExperimentConfig,
+    Sweep,
     config_fingerprint,
     config_to_dict,
     load_config,
@@ -113,26 +115,20 @@ def _slug(token: str) -> str:
     return token.replace("(", "-").replace(")", "").replace(",", "_").replace(" ", "")
 
 
-def cmd_suite(
-    cfg: ExperimentConfig,
-    out: Path,
-    seeds: Sequence[int] | None = None,
-    quiet: bool = False,
-) -> int:
+def cmd_suite(cfg: ExperimentConfig, sweep: Sweep, out: Path, quiet: bool = False) -> int:
     """Sweep methods x partitions across seeds; write per-run dirs + table.csv.
 
-    The sweep lists come from the config's ``methods``/``partitions`` keys and
-    fall back to its single method/partition.  Every run is prepared before
-    the first one trains, so an invalid cell, or an ``out`` whose suite.json
-    records another sweep, writes nothing.  suite.json is written before the
+    The sweep's method and partition lists fall back to the config's own
+    (see config.suite_cells).  Every run is prepared before the first one
+    trains, so an invalid cell, or an ``out`` whose suite.json records
+    another sweep, writes nothing.  suite.json is written before the
     first run trains, and a run's error names its cell and seed.  Each run
     writes the same files as ``run`` under out/<combo>/seed_<s>/.
     """
-    seed_list = list(seeds) if seeds is not None else list(cfg.suite_seeds)
-    suite = prepare_suite(cfg, seed_list)
+    suite = prepare_suite(cfg, sweep)
     meta = {
         "config_fingerprint": config_fingerprint(cfg),
-        "seeds": [int(s) for s in seed_list],
+        "seeds": [int(s) for s in sweep.seeds],
         "std_convention": "sample (ddof=1)",
         "methods": list(dict.fromkeys(mt for mt, _, _ in suite)),
         "partitions": list(dict.fromkeys(pt for _, pt, _ in suite)),
@@ -241,14 +237,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        cfg = load_config(args.config)
+        cfg, sweep = load_config(args.config)  # run, inspect and baseline ignore the sweep
         if args.command == "run":
             return cmd_run(cfg, out, args.quiet)
         if args.command == "suite":
-            seeds = (
-                parse_seed_list("seeds", args.seeds) if args.seeds is not None else None
-            )
-            return cmd_suite(cfg, out, seeds, args.quiet)
+            if args.seeds is not None:
+                sweep = replace(sweep, seeds=parse_seed_list("seeds", args.seeds))
+            return cmd_suite(cfg, sweep, out, args.quiet)
         if args.command == "inspect-partition":
             return cmd_inspect_partition(cfg, out, args.quiet)
         return cmd_baseline(cfg, out, args.quiet)

@@ -1,12 +1,13 @@
 """Experiment configuration: parsing, validation, canonical serialization.
 
-An ExperimentConfig checks its own fields against the rules below whenever
+A config file describes one run, an ExperimentConfig, and optionally the
+sweep a suite runs around it, a Sweep.  Each checks its own fields whenever
 it is built, by parse_config, its constructor or ``dataclasses.replace``,
 with the same ConfigError each way.  What a dataset can hold is checked when
 its data is built (see federation.prepare_experiment).
 
 Config files are flat text, one ``key = value`` setting per line.  ``#``
-starts a comment and blank lines are ignored.  Keys:
+starts a comment and blank lines are ignored.  Run keys:
 
     method         fedavg | fedprox                      (default fedavg)
     mu             fedprox's proximal coefficient, >= 0  (default 0.2)
@@ -22,16 +23,18 @@ starts a comment and blank lines are ignored.  Keys:
                    arguments, or file(train=PATH, test=PATH)
                                                          (default synthetic())
     seed           >= 0                                  (default 0)
-    seeds          comma list of distinct ints, suite only (default 0,1,2)
     weighting      datasize | uniform                    (default datasize)
-    methods        comma list of method tokens, suite sweep; a token is
+
+Sweep keys, read by the suite alone:
+
+    seeds          comma list of distinct ints >= 0      (default 0,1,2)
+    methods        comma list of method tokens; a token is
                    fedavg, fedprox, or fedprox(MU)       (default: method)
-    partitions     comma list of partition tokens, suite sweep
-                                                         (default: partition)
+    partitions     comma list of partition tokens        (default: partition)
 
 Two sweep tokens that name the same cell, such as fedprox(0.3) and
 fedprox(.3), or a bare fedprox and fedprox(MU) at the config's mu, are
-rejected.
+rejected when the file is read.
 
 Unknown or duplicate keys are rejected; every constraint violation is
 reported with the offending key.  Values in file() paths cannot contain
@@ -45,7 +48,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +56,8 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "FileData",
+    "Sweep",
     "SyntheticData",
-    "check_seeds",
     "clients_per_round",
     "config_fingerprint",
     "config_to_dict",
@@ -100,7 +103,7 @@ class FileData:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one federated experiment.
+    """Complete description of one federated run.
 
     Defaults mirror the reference setup: FedAvg over 10 clients, half of them
     sampled per round, 100 rounds of 2 local epochs with batch size 64 and
@@ -120,10 +123,7 @@ class ExperimentConfig:
     shards_per_client: int = 2
     dataset: SyntheticData | FileData = field(default_factory=SyntheticData)
     seed: int = 0
-    suite_seeds: tuple[int, ...] = (0, 1, 2)
     weighting: str = "datasize"
-    suite_methods: tuple[str, ...] = ()
-    suite_partitions: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         _validate(self)
@@ -135,6 +135,25 @@ class ExperimentConfig:
         if self.partition_mode == "iid":
             return "iid"
         return f"shards({self.shards_per_client})"
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """What a suite varies around its base config: the seeds it runs, and
+    the method and partition tokens of its cells; empty lists mean the base
+    config's own method or partition (see suite_cells)."""
+
+    seeds: tuple[int, ...] = (0, 1, 2)
+    methods: tuple[str, ...] = ()
+    partitions: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ConfigError("seeds: must list at least one seed")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds: seeds must be >= 0, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: seeds must be distinct, got {self.seeds}")
 
 
 def _number(key: str, text: str, kind: type = float) -> Any:
@@ -216,41 +235,36 @@ def _resolve(key: str, tokens, parse_token, default) -> dict[tuple, str]:
     return seen
 
 
-def suite_cells(cfg: ExperimentConfig) -> list[tuple[str, str, ExperimentConfig]]:
-    """The suite's cells as (method token, partition token, cell config).
+def suite_cells(cfg: ExperimentConfig,
+                sweep: Sweep) -> list[tuple[str, str, ExperimentConfig]]:
+    """The sweep's cells as (method token, partition token, cell config).
 
-    Methods are the outer loop.  The sweep lists default to the config's own
-    method and partition, and a bare fedprox takes its mu, so pass the
-    suite's base config.  A cell's config describes its run alone: no sweep,
-    and iid at the default shard count, so it round-trips serialize_config.
+    Methods are the outer loop.  Empty sweep lists default to the config's
+    own method and partition, and a bare fedprox takes its mu.  An iid cell
+    keeps the default shard count, as ``partition = iid`` names none.
     """
-    methods = _resolve("methods", cfg.suite_methods or (cfg.method_token(),),
+    methods = _resolve("methods", sweep.methods or (cfg.method_token(),),
                        parse_method_token, cfg.mu)
-    partitions = _resolve("partitions", cfg.suite_partitions or (cfg.partition_token(),),
+    partitions = _resolve("partitions", sweep.partitions or (cfg.partition_token(),),
                           parse_partition_token, ExperimentConfig.shards_per_client)
     return [
-        (mt, pt, replace(cfg, method=name, mu=mu, partition_mode=mode,
-                         shards_per_client=k, suite_methods=(), suite_partitions=()))
+        (mt, pt, replace(cfg, method=name, mu=mu, partition_mode=mode, shards_per_client=k))
         for (name, mu), mt in methods.items()
         for (mode, k), pt in partitions.items()
     ]
 
 
-def check_seeds(seeds: Sequence[int], got: object, key: str = "seeds") -> None:
-    """The seed-list rule: at least one seed, each >= 0, all distinct."""
-    if not seeds:
-        raise ConfigError(f"{key}: must list at least one seed")
-    if any(s < 0 for s in seeds):
-        raise ConfigError(f"{key}: seeds must be >= 0, got {got}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{key}: seeds must be distinct, got {got}")
-
-
 def parse_seed_list(key: str, text: str) -> tuple[int, ...]:
-    """Comma list of distinct non-negative ints."""
-    seeds = tuple(_number(key, s.strip(), int) for s in text.split(",") if s.strip())
-    check_seeds(seeds, repr(text), key)
-    return seeds
+    """Comma list of ints; Sweep checks them."""
+    return tuple(_number(key, s.strip(), int) for s in text.split(",") if s.strip())
+
+
+def _parse_tokens(key: str, text: str) -> tuple[str, ...]:
+    """Comma list of sweep tokens; suite_cells checks them."""
+    tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
+    if not tokens:
+        raise ConfigError(f"{key}: must list at least one {key[:-1]}")
+    return tokens
 
 
 def _parse_dataset(text: str) -> SyntheticData | FileData:
@@ -323,7 +337,7 @@ class _Key(NamedTuple):
 
     name: str
     parse: Callable[[str], dict[str, Any]]  # value text -> ExperimentConfig fields
-    text: Callable[[ExperimentConfig], str | None]  # canonical value; None: no line
+    text: Callable[[ExperimentConfig], str]  # canonical value
     echo: Callable[[ExperimentConfig], Any]  # its config_to_dict value
     check: Callable[[ExperimentConfig], object] = lambda cfg: None
 
@@ -345,21 +359,6 @@ def _field(name, kind, bad, rule, parse=None, then=lambda cfg: None) -> _Key:
                 lambda cfg: getattr(cfg, name), check)
 
 
-def _sweep(name: str, attr: str, parse_token: Callable, default: str) -> _Key:
-    """A comma list of sweep tokens naming distinct cells, a bare one at the
-    config's field ``default``; empty writes no line."""
-    def parse(text: str) -> dict[str, Any]:
-        tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
-        if not tokens:
-            raise ConfigError(f"{name}: must list at least one {name[:-1]}")
-        return {attr: tokens}
-
-    return _Key(name, parse, lambda cfg: ", ".join(getattr(cfg, attr)) or None,
-                lambda cfg: list(getattr(cfg, attr)),
-                lambda cfg: _resolve(name, getattr(cfg, attr), parse_token,
-                                     getattr(cfg, default)))
-
-
 # One row per key, in canonical order.  Parsing, the checks each
 # ExperimentConfig runs when built, serialize_config and config_to_dict all
 # walk this table.
@@ -379,19 +378,16 @@ _TABLE = {k.name: k for k in (
     _Key("dataset", lambda t: {"dataset": _parse_dataset(t)},
          lambda c: _dataset_token(c.dataset), lambda c: _dataset_echo(c.dataset)),
     _field("seed", int, lambda v: v < 0, "must be >= 0"),
-    _Key("seeds", lambda text: {"suite_seeds": parse_seed_list("seeds", text)},
-         lambda cfg: ", ".join(str(s) for s in cfg.suite_seeds),
-         lambda cfg: list(cfg.suite_seeds),
-         lambda cfg: check_seeds(cfg.suite_seeds, cfg.suite_seeds)),
     _field("weighting", str, lambda v: v not in WEIGHTINGS,
            f"must be one of {WEIGHTINGS}"),
-    _sweep("methods", "suite_methods", parse_method_token, "mu"),
-    _sweep("partitions", "suite_partitions", parse_partition_token, "shards_per_client"),
 )}
 
+# The sweep keys: (key, value text) -> the Sweep field of the same name.
+_SWEEP_KEYS = {"seeds": parse_seed_list, "methods": _parse_tokens, "partitions": _parse_tokens}
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text into a checked config; see the module docstring."""
+
+def parse_config(text: str) -> tuple[ExperimentConfig, Sweep]:
+    """Parse config text into (run config, sweep); see the module docstring."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -402,7 +398,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _TABLE:
+        if key not in _TABLE and key not in _SWEEP_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -414,14 +410,17 @@ def parse_config(text: str) -> ExperimentConfig:
     for k in _TABLE.values():
         if k.name in entries:
             fields.update(k.parse(entries[k.name]))
+    sweep = Sweep(**{k: parse(k, entries[k]) for k, parse in _SWEEP_KEYS.items() if k in entries})
     cfg = ExperimentConfig(**fields)
-    if "mu" in entries and cfg.method == "fedavg":
+    suite_cells(cfg, sweep)  # rejects a sweep token, or two naming one cell
+    bare_fedprox = ("fedprox", None) in map(parse_method_token, sweep.methods)
+    if "mu" in entries and cfg.method == "fedavg" and not bare_fedprox:
         warnings.warn("mu is ignored when method = fedavg", stacklevel=2)
-    return cfg
+    return cfg, sweep
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse a config file."""
+def load_config(path: str) -> tuple[ExperimentConfig, Sweep]:
+    """Parse a config file into (run config, sweep)."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             return parse_config(f.read())
@@ -439,12 +438,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: every key explicit, fixed order, LF line ends.
 
     Floats render with repr, which round-trips exactly, so
-    ``parse_config(serialize_config(cfg)) == cfg`` for any config whose iid
-    partition keeps the default shard count (``iid`` names none), which
+    ``parse_config(serialize_config(cfg))[0] == cfg`` for any config whose
+    iid partition keeps the default shard count (``iid`` names none), which
     every config suite_cells builds does.
     """
-    lines = [f"{n} = {v}" for n, k in _TABLE.items() if (v := k.text(cfg)) is not None]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{n} = {k.text(cfg)}\n" for n, k in _TABLE.items())
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:

@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import (WEIGHTINGS, ConfigError, ExperimentConfig, SyntheticData,
-                     check_seeds, clients_per_round, suite_cells)
+from .config import (WEIGHTINGS, ConfigError, ExperimentConfig, Sweep, SyntheticData,
+                     clients_per_round, suite_cells)
 from .data import (
     ClientSplit,
     Dataset,
@@ -190,28 +190,27 @@ def prepare_experiment(
 
 
 def prepare_suite(
-    cfg: ExperimentConfig, seeds: Sequence[int]
+    cfg: ExperimentConfig, sweep: Sweep
 ) -> list[tuple[str, str, list[tuple[ExperimentConfig, ExperimentData]]]]:
-    """Prepare every run of a suite before any of them trains.
+    """Prepare every run of the sweep around ``cfg`` before any of them trains.
 
     Returns (method token, partition token, [(run config, data), ...]) per
-    cell, in ``suite_cells`` order, with one run per seed, whose config
-    lists that seed alone.  Cells differ only in method and partition, so
-    each seed's datasets are built once and shared by its runs; a file()
-    dataset is read once for the whole suite.
+    cell, in ``suite_cells`` order, with one run per seed of the sweep.
+    Cells differ only in method and partition, so each seed's datasets are
+    built once and shared by its runs; a file() dataset is read once for the
+    whole suite.
     """
-    check_seeds(list(seeds), list(seeds))
     built: dict[int | None, tuple[Dataset, Dataset]] = {}
 
     def prepare(cell: ExperimentConfig, seed: int):
-        rcfg = replace(cell, seed=int(seed), suite_seeds=(int(seed),))
+        rcfg = replace(cell, seed=int(seed))
         key = rcfg.seed if isinstance(cfg.dataset, SyntheticData) else None
         data = prepare_experiment(rcfg, built.get(key))
         built[key] = (data.train, data.test)
         return rcfg, data
 
-    return [(mt, pt, [prepare(cell, s) for s in seeds])
-            for mt, pt, cell in suite_cells(cfg)]
+    return [(mt, pt, [prepare(cell, s) for s in sweep.seeds])
+            for mt, pt, cell in suite_cells(cfg, sweep)]
 
 
 def run_federation(

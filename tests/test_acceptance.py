@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fedsim.cli import cmd_run
-from fedsim.config import ExperimentConfig, SyntheticData, load_config
+from fedsim.config import ExperimentConfig, Sweep, SyntheticData, load_config
 from fedsim.data import generate_synthetic, partition_shards_detailed
 from fedsim.evaluation import (
     accuracy,
@@ -162,11 +162,13 @@ def test_shard_partitions_satisfy_structural_invariants():
 @pytest.fixture(scope="module")
 def trend_grid():
     t0 = time.perf_counter()
-    base = ExperimentConfig(
-        suite_methods=("fedavg", "fedprox"),
-        suite_partitions=("iid", "shards(2)", "shards(3)"),
+    base = ExperimentConfig()
+    sweep = Sweep(
+        seeds=tuple(SEEDS),
+        methods=("fedavg", "fedprox"),
+        partitions=("iid", "shards(2)", "shards(3)"),
     )
-    suite = prepare_suite(base, SEEDS)
+    suite = prepare_suite(base, sweep)
     cells = {}
     for mt, pt, runs in suite:
         accs = [run_federation(cfg, data).final_accuracy for cfg, data in runs]
@@ -278,7 +280,7 @@ def test_cmd_run_outputs_are_byte_reproducible(tmp_path, capsys):
     blobs = []
     for i in range(2):
         out = tmp_path / f"out{i}"
-        assert cmd_run(load_config(str(cfg_path)), out, quiet=True) == 0
+        assert cmd_run(load_config(str(cfg_path))[0], out, quiet=True) == 0
         blobs.append((out / "rounds.csv").read_bytes())
     capsys.readouterr()
     ok = blobs[0] == blobs[1]

@@ -1,11 +1,14 @@
-"""The package's exported names, pinned so the API changes only on purpose,
-the one module that writes files, the one that checks configs, and the
-config module's independence from the rest of the package."""
+"""The package's exported names and a run config's fields, pinned so the
+API changes only on purpose, the one module that writes files, the one that
+checks configs, the modules that read a suite's sweep, and the config
+module's independence from the rest of the package."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import fedsim
+from fedsim.config import ExperimentConfig
 
 EXPORTS = [
     "ClientSplit",
@@ -43,6 +46,28 @@ EXPORTS = [
 
 def test_exported_names_are_pinned():
     assert sorted(fedsim.__all__) == EXPORTS
+
+
+# A run config's knobs, in canonical order; the suite's sweep lives in config.Sweep.
+CONFIG_FIELDS = [
+    "method",
+    "mu",
+    "n_clients",
+    "fraction",
+    "rounds",
+    "local_epochs",
+    "batch_size",
+    "learning_rate",
+    "partition_mode",
+    "shards_per_client",
+    "dataset",
+    "seed",
+    "weighting",
+]
+
+
+def test_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == CONFIG_FIELDS
 
 
 def test_every_exported_name_resolves():
@@ -110,6 +135,17 @@ def test_only_the_config_module_names_the_rule_check():
         found[path.name] = [line for name, line in identifiers(tree) if name in RULE_CHECKS]
     assert found.pop("config.py"), "the guard no longer sees the check it guards"
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_suite_path_names_the_sweep():
+    # A run reads its config alone; the sweep is the suite's, so only the
+    # config module and the suite's two callers may name it.
+    found = set()
+    for path in sorted(Path(fedsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(name == "Sweep" for name, _ in identifiers(tree)):
+            found.add(path.name)
+    assert found == {"cli.py", "config.py", "federation.py"}
 
 
 def fedsim_imports(tree: ast.AST):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,7 @@ def test_run_writes_outputs_and_prints_final(tiny_cfg_path, tmp_path, capsys):
     assert len(labels) == 5
 
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    cfg = load_config(str(tiny_cfg_path))
+    cfg, _ = load_config(str(tiny_cfg_path))
     assert summary["config_fingerprint"] == config_fingerprint(cfg)
     assert summary["rounds_completed"] == 3
     assert summary["n_train"] == 160
@@ -354,7 +355,7 @@ def test_synthetic_and_file_datasets_share_the_partition_errors(tmp_path, capsys
     # One rule, in the data layer, for both dataset kinds: the same 40 train
     # rows as synthetic() and as file() give the same line, before any write.
     synthetic = "dataset = synthetic(n_samples=50, feature_dim=4)\n"
-    cfg = parse_config(synthetic)
+    cfg, _ = parse_config(synthetic)
     train, test = build_datasets(cfg)
     save_dataset(train, tmp_path / "train.csv")
     save_dataset(test, tmp_path / "test.csv")
@@ -562,26 +563,42 @@ def test_a_suite_run_echoes_its_own_run_not_the_sweep(tmp_path, capsys):
     capsys.readouterr()
     summary = json.loads((out / "fedprox-0.3_iid" / "seed_5" / "summary.json").read_text())
     echo = summary["config"]
-    assert (echo["seed"], echo["seeds"], echo["mu"]) == (5, [5], 0.3)
-    assert (echo["methods"], echo["partitions"]) == ([], [])
+    assert (echo["seed"], echo["method"], echo["mu"]) == (5, "fedprox", 0.3)
+    assert not {"seeds", "methods", "partitions"} & set(echo)
     assert json.loads((out / "suite.json").read_text())["seeds"] == [5, 6]
 
 
+@pytest.mark.parametrize("command", ["run", "baseline", "inspect-partition"])
+def test_sweep_keys_leave_a_single_run_byte_identical(tmp_path, capsys, command):
+    # Only the suite reads a file's sweep keys; every other command writes,
+    # prints and fingerprints the same bytes with or without them.
+    sweep = "seeds = 21, 22\nmethods = fedavg, fedprox(0.3)\npartitions = iid, shards(1)\n"
+    written = []
+    for name, text in (("plain", TINY), ("swept", TINY + sweep)):
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
+        written.append((capsys.readouterr(), files))
+    assert written[0] == written[1]
+
+
 def test_suite_seed_override_and_single_seed_std(tmp_path, capsys):
-    cfg = parse_config(TINY)
+    cfg, sweep = parse_config(TINY)
     out = tmp_path / "s"
-    assert cmd_suite(cfg, out, seeds=[5], quiet=True) == 0
+    assert cmd_suite(cfg, replace(sweep, seeds=(5,)), out, quiet=True) == 0
     capsys.readouterr()
     rows = read_rows(out / "table.csv")
     assert len(rows) == 2
     assert float(rows[1][3]) == 0.0  # singleton std
     assert (out / "fedavg_iid" / "seed_5" / "rounds.csv").exists()
     with pytest.raises(ConfigError, match="distinct"):
-        cmd_suite(cfg, out, seeds=[2, 2], quiet=True)
+        cmd_suite(cfg, replace(sweep, seeds=(2, 2)), out, quiet=True)
 
 
 def test_inspect_partition_reports_label_caps(tmp_path, capsys):
-    cfg = parse_config(TINY + "partition = shards(2)\n")
+    cfg, _ = parse_config(TINY + "partition = shards(2)\n")
     out = tmp_path / "inspect"
     assert cmd_inspect_partition(cfg, out, quiet=True) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -597,7 +614,7 @@ def test_inspect_partition_reports_label_caps(tmp_path, capsys):
 
 
 def test_inspect_partition_iid_sees_every_label(tmp_path, capsys):
-    cfg = parse_config("n_clients = 2\ndataset = synthetic(n_samples=400)\n")
+    cfg, _ = parse_config("n_clients = 2\ndataset = synthetic(n_samples=400)\n")
     assert cmd_inspect_partition(cfg, tmp_path / "i", quiet=True) == 0
     lines = capsys.readouterr().out.splitlines()
     for line in lines[1:]:

@@ -10,6 +10,7 @@ from fedsim.config import (
     ConfigError,
     ExperimentConfig,
     FileData,
+    Sweep,
     SyntheticData,
     config_fingerprint,
     config_to_dict,
@@ -25,7 +26,7 @@ from fedsim.federation import prepare_experiment, prepare_suite
 
 
 def test_empty_config_gives_defaults():
-    cfg = parse_config("")
+    cfg, sweep = parse_config("")
     assert cfg.method == "fedavg"
     assert cfg.mu == 0.2
     assert cfg.n_clients == 10
@@ -38,14 +39,12 @@ def test_empty_config_gives_defaults():
     assert cfg.shards_per_client == 2
     assert cfg.dataset == SyntheticData(5000, 4, 16, 6.0, 0.2)
     assert cfg.seed == 0
-    assert cfg.suite_seeds == (0, 1, 2)
     assert cfg.weighting == "datasize"
-    assert cfg.suite_methods == ()
-    assert cfg.suite_partitions == ()
+    assert sweep == Sweep(seeds=(0, 1, 2), methods=(), partitions=())
 
 
 def test_comments_blanks_and_case_are_tolerated():
-    cfg = parse_config(
+    cfg, _ = parse_config(
         """
         # a comment line
         Method = fedprox
@@ -110,15 +109,15 @@ def test_partition_token_forms():
 
 
 def test_partition_key_sets_mode_and_count():
-    cfg = parse_config("partition = shards(3)")
+    cfg, _ = parse_config("partition = shards(3)")
     assert cfg.partition_mode == "shards"
     assert cfg.shards_per_client == 3
 
 
 def test_dataset_synthetic_kwargs():
-    cfg = parse_config("dataset = synthetic(n_samples=800, separation=2.5)")
+    cfg, _ = parse_config("dataset = synthetic(n_samples=800, separation=2.5)")
     assert cfg.dataset == SyntheticData(n_samples=800, separation=2.5)
-    assert parse_config("dataset = synthetic()").dataset == SyntheticData()
+    assert parse_config("dataset = synthetic()")[0].dataset == SyntheticData()
     with pytest.raises(ConfigError, match="unknown synthetic argument"):
         parse_config("dataset = synthetic(size=10)")
     with pytest.raises(ConfigError, match="expected name=value"):
@@ -130,7 +129,7 @@ def test_dataset_synthetic_kwargs():
 
 
 def test_dataset_file_form():
-    cfg = parse_config("dataset = file(train=/tmp/a.csv, test=/tmp/b.csv)")
+    cfg, _ = parse_config("dataset = file(train=/tmp/a.csv, test=/tmp/b.csv)")
     assert cfg.dataset == FileData("/tmp/a.csv", "/tmp/b.csv")
     with pytest.raises(ConfigError, match="train= and test="):
         parse_config("dataset = file(train=/tmp/a.csv)")
@@ -142,22 +141,24 @@ def test_dataset_file_form():
 
 def test_seed_list_parsing():
     assert parse_seed_list("seeds", "0, 4,2") == (0, 4, 2)
-    with pytest.raises(ConfigError, match="distinct"):
-        parse_seed_list("seeds", "1,1")
-    with pytest.raises(ConfigError, match=">= 0"):
-        parse_seed_list("seeds", "0,-2")
-    with pytest.raises(ConfigError, match="at least one"):
-        parse_seed_list("seeds", " , ")
+    assert parse_config("seeds = 0, 4,2")[1].seeds == (0, 4, 2)
+    with pytest.raises(ConfigError, match="^seeds: seeds must be distinct, got \\(1, 1\\)$"):
+        parse_config("seeds = 1,1")
+    with pytest.raises(ConfigError, match="^seeds: seeds must be >= 0, got \\(0, -2\\)$"):
+        parse_config("seeds = 0,-2")
+    with pytest.raises(ConfigError, match="^seeds: must list at least one seed$"):
+        parse_config("seeds = , ")
     with pytest.raises(ConfigError, match="integer"):
         parse_seed_list("seeds", "0,x")
 
 
 def test_sweep_keys():
-    cfg = parse_config(
+    cfg, sweep = parse_config(
         "methods = fedavg, fedprox(0.3)\npartitions = iid, shards(2)"
     )
-    assert cfg.suite_methods == ("fedavg", "fedprox(0.3)")
-    assert cfg.suite_partitions == ("iid", "shards(2)")
+    assert cfg == ExperimentConfig()
+    assert sweep.methods == ("fedavg", "fedprox(0.3)")
+    assert sweep.partitions == ("iid", "shards(2)")
     with pytest.raises(ConfigError, match="must be one of"):
         parse_config("methods = fedavg, adam")
     with pytest.raises(ConfigError, match="must be one of"):  # a bad token before a repeat
@@ -183,26 +184,26 @@ def test_duplicate_sweep_cells_name_the_key(text, key):
 
 def test_a_config_with_duplicate_sweep_cells_cannot_be_built():
     with pytest.raises(ConfigError, match="^methods: 'fedavg' duplicates 'fedavg'$"):
-        ExperimentConfig(suite_methods=("fedavg", "fedavg"))
-    # At mu 0.3 a bare fedprox is fedprox(0.3), however the config is built.
+        suite_cells(ExperimentConfig(), Sweep(methods=("fedavg", "fedavg")))
+    # At mu 0.3 a bare fedprox is fedprox(0.3), however the sweep is built.
+    twins = Sweep(methods=("fedprox", "fedprox(0.3)"))
     with pytest.raises(ConfigError, match="^methods: 'fedprox\\(0.3\\)' duplicates"):
-        ExperimentConfig(method="fedprox", mu=0.3, suite_methods=("fedprox", "fedprox(0.3)"))
-    # At the default mu they are two cells, and each cell's config lists no
-    # sweep, so it loads back from its own serialization.
-    base = ExperimentConfig(method="fedprox", suite_methods=("fedprox", "fedprox(0.3)"))
-    cells = suite_cells(base)
-    assert [(c.mu, c.suite_methods) for _, _, c in cells] == [(0.2, ()), (0.3, ())]
+        suite_cells(ExperimentConfig(method="fedprox", mu=0.3), twins)
+    # At the default mu they are two cells, and each cell's config loads back
+    # from its own serialization.
+    cells = suite_cells(ExperimentConfig(method="fedprox"), twins)
+    assert [c.mu for _, _, c in cells] == [0.2, 0.3]
     for _, _, cell in cells:
-        assert parse_config(serialize_config(cell)) == cell
+        assert parse_config(serialize_config(cell)) == (cell, Sweep())
 
 
 def test_distinct_sweep_tokens_keep_their_text():
-    cfg = parse_config(
+    cfg, sweep = parse_config(
         "methods = fedavg, fedprox, fedprox(.3), fedprox(0)\n"
         "partitions = iid, shards(1), shards(2)"
     )
-    assert cfg.suite_methods == ("fedavg", "fedprox", "fedprox(.3)", "fedprox(0)")
-    cells = suite_cells(cfg)
+    assert sweep.methods == ("fedavg", "fedprox", "fedprox(.3)", "fedprox(0)")
+    cells = suite_cells(cfg, sweep)
     assert [(mt, pt) for mt, pt, _ in cells[:3]] == [
         ("fedavg", "iid"), ("fedavg", "shards(1)"), ("fedavg", "shards(2)")
     ]
@@ -215,35 +216,43 @@ def test_distinct_sweep_tokens_keep_their_text():
 
 
 def test_suite_cells_default_to_the_config_and_resolve_tokens():
-    cfg = parse_config("method = fedprox\nmu = 0.3\npartition = shards(3)")
-    ((mt, pt, cell),) = suite_cells(cfg)
+    cfg, sweep = parse_config("method = fedprox\nmu = 0.3\npartition = shards(3)")
+    ((mt, pt, cell),) = suite_cells(cfg, sweep)
     assert (mt, pt) == ("fedprox(0.3)", "shards(3)")
     assert cell == cfg
-    cfg = replace(cfg, suite_partitions=("Shards(02)", "iid"))
+    sweep = replace(sweep, partitions=("Shards(02)", "iid"))
     # iid names no shard count, so its cell keeps the default, not the base's 3.
-    assert [c.shards_per_client for _, _, c in suite_cells(cfg)] == [2, 2]
+    assert [c.shards_per_client for _, _, c in suite_cells(cfg, sweep)] == [2, 2]
     with pytest.raises(ConfigError, match="^partitions: 'shards\\(2\\)' duplicates"):
-        suite_cells(replace(cfg, suite_partitions=("shards(02)", "shards(2)")))
+        suite_cells(cfg, replace(sweep, partitions=("shards(02)", "shards(2)")))
 
 
 def test_parse_config_leaves_sweep_cells_unvalidated():
     # 10 clients x 1000 shards exceed the 4000 training samples; the cell's
     # config builds, and only preparing its data rejects it.
-    cfg = parse_config("partitions = iid, shards(1000)")
-    assert cfg.suite_partitions == ("iid", "shards(1000)")
-    assert [c.shards_per_client for _, _, c in suite_cells(cfg)] == [2, 1000]
+    cfg, sweep = parse_config("partitions = iid, shards(1000)")
+    assert sweep.partitions == ("iid", "shards(1000)")
+    assert [c.shards_per_client for _, _, c in suite_cells(cfg, sweep)] == [2, 1000]
     with pytest.raises(ConfigError, match="^partition: 10000 shards cannot be built "
                                           "from 4000 samples$"):
-        prepare_suite(cfg, [0])
+        prepare_suite(cfg, replace(sweep, seeds=(0,)))
 
 
 def test_mu_warning_only_for_fedavg():
     with pytest.warns(UserWarning, match="mu is ignored"):
         parse_config("method = fedavg\nmu = 0.5")
+    # No run the file describes reads mu: the sweep runs fedavg or pins mu.
+    for methods in ("fedavg", "fedavg, fedprox(0.3)", "fedprox(0.5)"):
+        with pytest.warns(UserWarning, match="^mu is ignored when method = fedavg$"):
+            parse_config(f"mu = 0.3\nmethods = {methods}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parse_config("method = fedprox\nmu = 0.5")
         parse_config("method = fedavg")
+        # A bare fedprox in the sweep trains at the file's mu.
+        for methods in ("fedprox", "fedavg, FedProx()", "fedprox(0.1), fedprox"):
+            cfg, sweep = parse_config(f"mu = 0.3\nmethods = {methods}")
+            assert 0.3 in [c.mu for mt, _, c in suite_cells(cfg, sweep) if mt != "fedavg"]
 
 
 # What a dataset can hold is the data layer's rule: these configs build, and
@@ -282,7 +291,7 @@ def test_range_violations_name_the_key(text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
         return
-    cfg = parse_config(text)
+    cfg, _ = parse_config(text)
     with pytest.raises(ConfigError, match=f"^(dataset|partition): .*{message}"):
         prepare_experiment(cfg)
 
@@ -292,14 +301,14 @@ def test_validate_config_direct_field_checks():
         replace(ExperimentConfig(), method="adam")
     with pytest.raises(ConfigError, match="partition"):
         replace(ExperimentConfig(), partition_mode="x")
-    with pytest.raises(ConfigError, match="seeds"):
-        replace(ExperimentConfig(), suite_seeds=())
-    with pytest.raises(ConfigError, match="distinct"):
-        replace(ExperimentConfig(), suite_seeds=(1, 1))
+    with pytest.raises(ConfigError, match="^seeds: must list at least one seed$"):
+        replace(Sweep(), seeds=())
+    with pytest.raises(ConfigError, match="^seeds: seeds must be distinct, got \\(1, 1\\)$"):
+        Sweep(seeds=(1, 1))
 
 
 def test_serialize_parse_roundtrip():
-    cfg = parse_config(
+    cfg, sweep = parse_config(
         """
         method = fedprox
         mu = 0.3
@@ -314,35 +323,41 @@ def test_serialize_parse_roundtrip():
         partitions = iid, shards(2)
         """
     )
-    assert parse_config(serialize_config(cfg)) == cfg
-    # The canonical form always names mu, so fedavg configs warn on re-parse.
+    assert sweep == Sweep((5, 6), ("fedavg", "fedprox(0.1)"), ("iid", "shards(2)"))
+    # The canonical form is the run's alone: it writes no sweep key.
+    assert parse_config(serialize_config(cfg)) == (cfg, Sweep())
+    # It always names mu, so fedavg configs warn on re-parse.
     with pytest.warns(UserWarning, match="mu is ignored"):
-        assert parse_config(serialize_config(ExperimentConfig())) == ExperimentConfig()
+        assert parse_config(serialize_config(ExperimentConfig()))[0] == ExperimentConfig()
     file_cfg = replace(cfg, dataset=FileData("/tmp/a.csv", "/tmp/b.csv"))
-    assert parse_config(serialize_config(file_cfg)) == file_cfg
+    assert parse_config(serialize_config(file_cfg))[0] == file_cfg
 
 
 def test_serialization_is_canonical():
     text = serialize_config(ExperimentConfig())
     with pytest.warns(UserWarning, match="mu is ignored"):
-        assert text == serialize_config(parse_config(text))
+        assert text == serialize_config(parse_config(text)[0])
     assert text.endswith("\n")
     assert "\r" not in text
 
 
 def test_fingerprint_stable_across_formatting():
-    a = parse_config("rounds = 9\nseed = 2  # note")
-    b = parse_config("# other layout\nseed=2\nrounds=9")
+    a, _ = parse_config("rounds = 9\nseed = 2  # note")
+    b, _ = parse_config("# other layout\nseed=2\nrounds=9")
     assert config_fingerprint(a) == config_fingerprint(b)
-    c = parse_config("rounds = 9\nseed = 3")
+    c, _ = parse_config("rounds = 9\nseed = 3")
     assert config_fingerprint(a) != config_fingerprint(c)
+    # The sweep is no part of a run's identity.
+    d, _ = parse_config("rounds = 9\nseed = 2\nseeds = 4, 5\nmethods = fedprox(0.3)")
+    assert config_fingerprint(a) == config_fingerprint(d)
 
 
 def test_config_to_dict_is_json_friendly():
-    cfg = parse_config("methods = fedavg, fedprox(0.3)")
+    cfg, _ = parse_config("method = fedprox\nmu = 0.3\nmethods = fedavg, fedprox(0.3)")
     payload = config_to_dict(cfg)
     text = json.dumps(payload, sort_keys=True)
-    assert '"fedprox(0.3)"' in text
+    assert '"method": "fedprox"' in text and '"mu": 0.3' in text
+    assert "methods" not in payload
     assert payload["dataset"]["kind"] == "synthetic"
     file_payload = config_to_dict(
         replace(cfg, dataset=FileData("a.csv", "b.csv"))
@@ -355,7 +370,7 @@ def test_config_to_dict_is_json_friendly():
 
 
 def test_tokens_render_back():
-    cfg = parse_config("method = fedprox\nmu = 0.2\npartition = shards(2)")
+    cfg, _ = parse_config("method = fedprox\nmu = 0.2\npartition = shards(2)")
     assert cfg.method_token() == "fedprox(0.2)"
     assert cfg.partition_token() == "shards(2)"
     assert ExperimentConfig().method_token() == "fedavg"
@@ -364,6 +379,6 @@ def test_tokens_render_back():
 
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("rounds = 4\nseed = 9\n", encoding="utf-8")
-    cfg = load_config(str(path))
-    assert (cfg.rounds, cfg.seed) == (4, 9)
+    path.write_text("rounds = 4\nseed = 9\nseeds = 3\n", encoding="utf-8")
+    cfg, sweep = load_config(str(path))
+    assert (cfg.rounds, cfg.seed, sweep.seeds) == (4, 9, (3,))

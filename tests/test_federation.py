@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim.config import ExperimentConfig, FileData, SyntheticData
+from fedsim.config import ExperimentConfig, FileData, Sweep, SyntheticData
 from fedsim.data import save_dataset, synthetic_train_test
 from fedsim.evaluation import accuracy
 from fedsim.federation import (
@@ -289,9 +289,9 @@ def test_prepare_suite_builds_each_seeds_data_once(monkeypatch):
         return synthetic_train_test(*args)
 
     monkeypatch.setattr("fedsim.federation.synthetic_train_test", counting)
-    cfg = tiny_config(suite_methods=("fedavg", "fedprox(0.3)"),
-                      suite_partitions=("iid", "shards(1)", "shards(2)"))
-    suite = prepare_suite(cfg, [4, 9])
+    sweep = Sweep(seeds=(4, 9), methods=("fedavg", "fedprox(0.3)"),
+                  partitions=("iid", "shards(1)", "shards(2)"))
+    suite = prepare_suite(tiny_config(), sweep)
     assert len(calls) == 2
     assert [(mt, pt) for mt, pt, _ in suite] == [
         (mt, pt) for mt in ("fedavg", "fedprox(0.3)")
@@ -306,9 +306,8 @@ def test_prepare_suite_builds_each_seeds_data_once(monkeypatch):
 
 
 def test_prepare_suite_runs_match_runs_prepared_alone():
-    cfg = tiny_config(suite_methods=("fedavg", "fedprox"),
-                      suite_partitions=("iid", "shards(2)"))
-    suite = prepare_suite(cfg, [0, 3])
+    sweep = Sweep(seeds=(0, 3), methods=("fedavg", "fedprox"), partitions=("iid", "shards(2)"))
+    suite = prepare_suite(tiny_config(), sweep)
     assert sum(len(runs) for _, _, runs in suite) == 8
     for _, _, runs in suite:
         for rcfg, data in runs:

@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -138,8 +139,6 @@ def test_outputs_match_the_golden_digests(name, tmp_path):
 
 def regenerate() -> None:
     """Rewrite the manifest from this checkout's outputs."""
-    import tempfile
-
     commands = {}
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
