@@ -3,6 +3,8 @@
 Everything here recomputes its target quantity with plain Python loops over
 scalars (or finite differences of the loss), never through the package's
 vectorized paths, so agreement between the two is meaningful evidence.
+The one exception is ``reference_loss_grad``, a frozen copy of the kernel
+written with ndarray reductions, which the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +47,27 @@ def kernel(params: ParamVector, x: np.ndarray, y: np.ndarray) -> tuple[float, Pa
     """The code under test, not an oracle: model.loss_grad's loss and gradient."""
     loss, gw, gb = loss_grad(params.weights, params.bias, x, y)
     return float(loss), ParamVector(gw, gb)
+
+
+def reference_loss_grad(weights, bias, x, y, with_loss=True):
+    """model.loss_grad as first written: class-axis max and sum as ndarray
+    reductions, labels picked by fancy indexing."""
+    z = x @ weights.swapaxes(-1, -2) + bias[..., None, :]
+    z -= z.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    denom = ez.sum(axis=-1, keepdims=True)
+    n = x.shape[-2]
+    rows = np.arange(y.size)
+    labels = y.reshape(-1)
+    loss = None
+    if with_loss:
+        picked = z.reshape(-1, z.shape[-1])[rows, labels].reshape(y.shape)
+        loss = -(picked - np.log(denom[..., 0])).sum(axis=-1) / n
+    probs = ez / denom
+    probs.reshape(-1, probs.shape[-1])[rows, labels] -= 1.0
+    gw = probs.swapaxes(-1, -2) @ x / n
+    gb = probs.sum(axis=-2) / n
+    return loss, gw, gb
 
 
 def scalar_logits(params: ParamVector, x_row: np.ndarray) -> list[float]:

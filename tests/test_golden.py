@@ -48,6 +48,12 @@ CASES = {
     "run": ("rounds = 5\n", ["run"], None),
     "run_fedprox_shards1": (
         "method = fedprox\nmu = 0.3\npartition = shards(1)\nrounds = 5\n", ["run"], None),
+    # 10 classes take the kernel's ndarray reductions, and 58- and 57-sample
+    # clients split the last step of each epoch into two groups.
+    "run_fedprox_10_classes": (
+        "method = fedprox\nmu = 0.3\nn_clients = 7\nfraction = 1.0\nlocal_epochs = 2\n"
+        "batch_size = 16\nrounds = 4\ndataset = synthetic(n_samples=500, n_classes=10, "
+        "feature_dim=12, separation=1.5)\n", ["run"], None),
     "run_file": (
         "dataset = file(train=train.csv, test=test.csv)\nn_clients = 4\nrounds = 4\n"
         "batch_size = 16\n", ["run"], _file_data),

@@ -13,6 +13,7 @@ from oracles import (
     max_rel_err,
     rand_batch,
     rand_params,
+    reference_loss_grad,
     scalar_cross_entropy,
 )
 
@@ -139,3 +140,27 @@ def test_loss_and_grad_consistent_with_parts():
     no_loss, gw_only, gb_only = loss_grad(p.weights, p.bias, x, y, with_loss=False)
     assert no_loss is None
     assert np.array_equal(gw, gw_only) and np.array_equal(gb, gb_only)
+
+
+@pytest.mark.parametrize("n_classes", range(1, 13))
+def test_kernel_matches_the_reduction_reference_bit_for_bit(n_classes):
+    # Below 8 classes the kernel folds the class axis column by column, from
+    # 8 on it reduces it; either way every bit must match the reference.
+    # Logits span a wide range, so a sum taken in another order would differ.
+    rng = np.random.default_rng(100 + n_classes)
+    d = 5
+    for lead in [(), (1,), (3,), (2, 3)]:
+        for n in (1, 7, 16):
+            w = rng.normal(size=(*lead, n_classes, d)) * rng.choice([0.1, 3.0, 30.0])
+            b = rng.normal(size=(*lead, n_classes)) * 10
+            x = rng.normal(size=(*lead, n, d))
+            y = rng.integers(0, n_classes, size=(*lead, n))
+            for with_loss in (True, False):
+                got = loss_grad(w, b, x, y, with_loss)
+                want = reference_loss_grad(w, b, x, y, with_loss)
+                assert (got[0] is None) == (want[0] is None) == (not with_loss)
+                for g, r in zip(got, want):
+                    if r is not None:
+                        assert g.shape == r.shape
+                        assert np.array_equal(g, r), (lead, n, with_loss)
+                        assert np.array_equal(np.signbit(g), np.signbit(r))
