@@ -54,6 +54,14 @@ class ParamVector:
         return cls(np.zeros((n_classes, feature_dim)), np.zeros(n_classes))
 
 
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    # ``op`` over the last axis of ``a``, one column at a time from the first.
+    acc = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        op(acc, a[..., c], out=acc)
+    return acc
+
+
 def loss_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -70,20 +78,27 @@ def loss_grad(
     slice goes through matmuls and reductions of the same shape as it would
     alone, so its results are bit-identical to an unstacked call.  Inputs are
     not checked: callers pass labels in ``[0, C)`` and matching ``d``.
+
+    Below 8 classes the class-axis max and sum go one column at a time, which
+    skips an ndarray reduction's per-row cost.  numpy's add-reduce sums fewer
+    than 8 items in order, so the column sum keeps its bits; from 8 classes
+    on it sums pairwise, and both stay ndarray reductions.
     """
-    z = x @ weights.swapaxes(-1, -2) + bias[..., None, :]
-    z -= z.max(axis=-1, keepdims=True)
+    z = x @ weights.swapaxes(-1, -2)
+    z += bias[..., None, :]
+    n_classes, n = z.shape[-1], x.shape[-2]
+    fold = n_classes < 8
+    z -= (_fold(np.maximum, z) if fold else z.max(axis=-1))[..., None]
     ez = np.exp(z)
-    denom = ez.sum(axis=-1, keepdims=True)
-    n = x.shape[-2]
-    rows = np.arange(y.size)
-    labels = y.reshape(-1)
+    denom = _fold(np.add, ez) if fold else ez.sum(axis=-1)
+    at = np.arange(0, z.size, n_classes) + y.reshape(-1)  # each label's flat index
     loss = None
     if with_loss:
-        picked = z.reshape(-1, z.shape[-1])[rows, labels].reshape(y.shape)
-        loss = -(picked - np.log(denom[..., 0])).sum(axis=-1) / n
-    probs = ez / denom
-    probs.reshape(-1, probs.shape[-1])[rows, labels] -= 1.0
-    gw = probs.swapaxes(-1, -2) @ x / n
-    gb = probs.sum(axis=-2) / n
+        loss = -(z.reshape(-1)[at].reshape(y.shape) - np.log(denom)).sum(axis=-1) / n
+    ez /= denom[..., None]  # the softmax, then minus the one-hot labels
+    ez.reshape(-1)[at] -= 1.0
+    gw = ez.swapaxes(-1, -2) @ x
+    gw /= n
+    gb = ez.sum(axis=-2)
+    gb /= n
     return loss, gw, gb

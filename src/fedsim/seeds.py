@@ -16,6 +16,7 @@ changed would fail that test rather than silently change outputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -54,19 +55,14 @@ def key_rng(seed: SeedKey) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(as_key(seed))))
 
 
-def _words(key: tuple[int, ...]) -> list[int]:
-    # Each value as its little-endian uint32 words, 0 as [0], like SeedSequence.
-    if min(key, default=0) < 0:
-        raise ValueError("expected non-negative integer")
-    if max(key, default=0) <= _MASK32:  # the usual case: one word per value
-        return list(key)
-    return [(v >> s) & _MASK32 for v in key for s in range(0, max(v.bit_length(), 1), 32)]
-
-
+@lru_cache(maxsize=None)
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     # init * mult**k mod 2**32 for k <= n, a column: call k xors row k, multiplies by row k+1.
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n + 1)],
-                    dtype=np.uint32)[:, None]
+    # Built once per (init, mult, n), so it is shared and read-only.
+    consts = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(n + 1)],
+                      dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
+    return consts
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -95,11 +91,19 @@ def _seed_words(words: np.ndarray) -> np.ndarray:
 
 def pcg64_states(keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
     """``(state, inc)`` of ``key_rng(key).bit_generator`` for each key, in one pass."""
-    words = [_words(key) for key in keys]
+    values = [v for key in keys for v in key]
+    if min(values, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    # Each value as its little-endian uint32 words, 0 as [0], like SeedSequence;
+    # in the usual case, every value one word, the keys are their own words.
+    words = keys if max(values, default=0) <= _MASK32 else [
+        [(v >> s) & _MASK32 for v in key for s in range(0, max(v.bit_length(), 1), 32)]
+        for key in keys]
     states: list[tuple[int, int]] = [(0, 0)] * len(words)
     for n in set(map(len, words)):
         where = [p for p, w in enumerate(words) if len(w) == n]
-        block = np.array([words[p] for p in where], dtype=np.uint32).reshape(len(where), n)
+        flat = [v for p in where for v in words[p]]  # numpy reads a flat list faster
+        block = np.array(flat, dtype=np.uint32).reshape(len(where), n)
         for p, (s0, s1, q0, q1) in zip(where, _seed_words(block.T).T.tolist()):
             inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
             states[p] = (((((s0 << 64) | s1) + inc) * PCG64_MULT + inc) & _MASK128, inc)

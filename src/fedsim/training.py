@@ -124,9 +124,8 @@ def train_cohort(
                     for lo, hi, length in groups:
                         idx = orders[lo:hi, start : start + length]
                         wg, bg = w[lo:hi], b[lo:hi]
-                        loss, gw, gb = loss_grad(
-                            wg, bg, data.features[idx], data.labels[idx], record
-                        )
+                        loss, gw, gb = loss_grad(wg, bg, data.features.take(idx, axis=0),
+                                                 data.labels.take(idx), record)
                         if use_prox:
                             dw = wg - w_g.weights
                             db = bg - w_g.bias
@@ -154,7 +153,10 @@ def train_cohort(
         raise DivergenceError(
             f"client {splits[0].client_id}, epoch {epoch}: local training diverged"
         ) from None
-    steps = [-(-n // bs) for n in sizes]
-    mean_losses = np.array([losses[j, :k].sum() for j, k in enumerate(steps)]) / steps
+    means, lo = [], 0  # one row sum per run of clients with equal step counts
+    for steps, run in groupby(-(-n // bs) for n in sizes):
+        hi = lo + len(list(run))
+        means.append(losses[lo:hi, :steps].sum(axis=1) / steps)
+        lo = hi
     back = np.argsort(rank)  # ranked rows back to the order of splits
-    return w[back], b[back], mean_losses[back]
+    return w[back], b[back], np.concatenate(means)[back]

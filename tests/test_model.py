@@ -164,3 +164,9 @@ def test_kernel_matches_the_reduction_reference_bit_for_bit(n_classes):
                         assert g.shape == r.shape
                         assert np.array_equal(g, r), (lead, n, with_loss)
                         assert np.array_equal(np.signbit(g), np.signbit(r))
+    # One dominant logit among ones whose exponentials are near 1e-16: summed
+    # in order they vanish, summed pairwise from 8 classes on they do not.
+    w, b = np.zeros((n_classes, d)), np.r_[0.0, np.full(n_classes - 1, -36.8)]
+    x, y = rng.normal(size=(4, d)), np.zeros(4, dtype=np.int64)
+    for g, r in zip(loss_grad(w, b, x, y), reference_loss_grad(w, b, x, y)):
+        assert np.array_equal(g, r)
