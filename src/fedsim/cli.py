@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -236,20 +237,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
-    try:
-        cfg, sweep = load_config(args.config)  # run, inspect and baseline ignore the sweep
-        if args.command == "run":
-            return cmd_run(cfg, out, args.quiet)
-        if args.command == "suite":
-            if args.seeds is not None:
-                sweep = replace(sweep, seeds=parse_seed_list("seeds", args.seeds))
-            return cmd_suite(cfg, sweep, out, args.quiet)
-        if args.command == "inspect-partition":
-            return cmd_inspect_partition(cfg, out, args.quiet)
-        return cmd_baseline(cfg, out, args.quiet)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a shown warning is one line; the filters stay
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            cfg, sweep = load_config(args.config)  # only the suite reads the sweep
+            if args.command == "run":
+                return cmd_run(cfg, out, args.quiet)
+            if args.command == "suite":
+                if args.seeds is not None:
+                    sweep = replace(sweep, seeds=parse_seed_list("seeds", args.seeds))
+                return cmd_suite(cfg, sweep, out, args.quiet)
+            if args.command == "inspect-partition":
+                return cmd_inspect_partition(cfg, out, args.quiet)
+            return cmd_baseline(cfg, out, args.quiet)
+        except (ConfigError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entry() -> None:

@@ -1,14 +1,19 @@
 """The package's exported names and a run config's fields, pinned so the
-API changes only on purpose, the one module that writes files, the one that
-checks configs, the modules that read a suite's sweep, and the config
-module's independence from the rest of the package."""
+API changes only on purpose, the names the benchmark harness binds, the one
+module that writes files, the one that checks configs, the modules that read
+a suite's sweep, and the config module's independence from the rest of the
+package."""
 
 import ast
 import dataclasses
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import fedsim
 from fedsim.config import ExperimentConfig
+from fedsim.federation import FederationResult, ServerState, run_federation
 
 EXPORTS = [
     "ClientSplit",
@@ -73,6 +78,37 @@ def test_config_fields_are_pinned():
 def test_every_exported_name_resolves():
     missing = [name for name in fedsim.__all__ if not hasattr(fedsim, name)]
     assert missing == []
+
+
+# Functions the benchmark harness looks up by module and name to time and
+# check a run; losing one breaks the harness, not only a test.
+BENCHMARK_BINDINGS = [
+    ("fedsim.cli", "main"),
+    ("fedsim.cli", "_write_run_outputs"),
+    ("fedsim.config", "load_config"),
+    ("fedsim.data", "load_dataset"),
+    ("fedsim.data", "partition_iid"),
+    ("fedsim.data", "partition_shards"),
+    ("fedsim.data", "save_dataset"),
+    ("fedsim.data", "synthetic_train_test"),
+    ("fedsim.evaluation", "accuracy"),
+    ("fedsim.federation", "aggregate"),
+    ("fedsim.federation", "prepare_experiment"),
+    ("fedsim.federation", "run_federation"),
+    ("fedsim.federation", "select_clients"),
+    ("fedsim.seeds", "key_rng"),
+]
+
+
+def test_the_names_the_benchmark_binds_exist():
+    missing = [f"{module}.{name}" for module, name in BENCHMARK_BINDINGS
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
+    # The harness binds run_federation's arguments by name and wraps progress.
+    assert list(inspect.signature(run_federation).parameters) == ["cfg", "data", "progress"]
+    # It checks each run's final parameters through result.final_state.global_params.
+    assert typing.get_type_hints(FederationResult)["final_state"] is ServerState
+    assert "global_params" in {f.name for f in dataclasses.fields(ServerState)}
 
 
 # Calls that write a file whatever their arguments; open() writes by its mode.

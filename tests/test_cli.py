@@ -634,27 +634,32 @@ def test_baseline_writes_summary(tmp_path, capsys):
     assert float(captured.out.split("=", 1)[1]) == payload["accuracy"]
 
 
-def test_module_entrypoint_runs(tiny_cfg_path, tmp_path):
-    out = tmp_path / "sub"
-    # The child imports the same fedsim checkout as this test process.
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m fedsim *argv`` in a child that imports this test's fedsim checkout."""
     src = str(Path(fedsim.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "fedsim",
-            "run",
-            "--config",
-            str(tiny_cfg_path),
-            "--out",
-            str(out),
-            "--quiet",
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "fedsim", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entrypoint_runs(tiny_cfg_path, tmp_path):
+    out = tmp_path / "sub"
+    proc = run_module("run", "--config", str(tiny_cfg_path), "--out", str(out), "--quiet")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("final_accuracy=")
     assert (out / "rounds.csv").exists()
+
+
+def test_a_config_warning_shows_as_one_line(tmp_path):
+    # Python's own format would name config.py's path and line, then repeat
+    # the source line.  Only the format changes: an "error" filter still raises.
+    cfg_path = tmp_path / "mu.cfg"
+    cfg_path.write_text(TINY + "mu = 0.3\n", encoding="utf-8")
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]
+    proc = run_module(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: mu is ignored when method = fedavg\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="^mu is ignored when method = fedavg$"):
+            main(argv)

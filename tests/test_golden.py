@@ -3,10 +3,9 @@
 Each case runs one ``fedsim`` command in-process, from an empty working
 directory and with relative paths only, and records the SHA-256 of every
 file under that directory, of stdout and of stderr, plus the exit status.
-Warnings are recorded on stderr as ``warning: <message>``, without the
-source location a shown warning would carry.  ``tests/golden/outputs.json``
-holds the recorded digests, and a short digest of each line, so a mismatch
-can point at the first line that differs.
+Warnings reach stderr as ``fedsim`` shows them, ``warning: <message>``.
+``tests/golden/outputs.json`` holds the recorded digests, and a short digest
+of each line, so a mismatch can point at the first line that differs.
 
 A change that alters outputs on purpose regenerates the manifest:
 
@@ -94,16 +93,15 @@ def record(name: str, workdir: Path) -> tuple[int, dict[str, bytes]]:
         Path("exp.cfg").write_bytes(config if isinstance(config, bytes) else config.encode())
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+                warnings.catch_warnings():
+            warnings.simplefilter("always")  # main shows each one as a stderr line
             status = main([*command, "--config", "exp.cfg", "--out", "out"])
-        shown = "".join(f"warning: {w.message}\n" for w in caught)
         files = {p.relative_to(workdir).as_posix(): p.read_bytes()
                  for p in sorted(workdir.rglob("*")) if p.is_file()}
     finally:
         os.chdir(old)
     return status, {"stdout": out.getvalue().encode(),
-                    "stderr": (shown + err.getvalue()).encode(), **files}
+                    "stderr": err.getvalue().encode(), **files}
 
 
 def digests(status: int, outputs: dict[str, bytes]) -> dict:
