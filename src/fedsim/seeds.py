@@ -32,7 +32,7 @@ SeedKey = int | tuple[int, ...]
 # numpy's SeedSequence constants (a pool of 4 uint32 words); PCG64's multiplier.
 INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+MIX_MULT_L, MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _OTHERS = np.array([[d for d in range(4) if d != s] for s in range(4)])
@@ -41,13 +41,13 @@ _OTHERS = np.array([[d for d in range(4) if d != s] for s in range(4)])
 def as_key(seed: SeedKey) -> tuple[int, ...]:
     """Normalize an int or tuple seed into a tuple of plain ints."""
     if isinstance(seed, tuple):
-        return tuple(int(v) for v in seed)
+        return tuple(map(int, seed))
     return (int(seed),)
 
 
 def derive(seed: SeedKey, *path: int) -> tuple[int, ...]:
     """Extend a seed key with further counters (round, client, epoch, ...)."""
-    return as_key(seed) + tuple(int(p) for p in path)
+    return as_key(seed) + tuple(map(int, path))
 
 
 def key_rng(seed: SeedKey) -> np.random.Generator:
@@ -71,7 +71,7 @@ def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+    r = MIX_MULT_L * x - MIX_MULT_R * y
     return r ^ (r >> 16)
 
 
