@@ -250,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.command == "inspect-partition":
                 return cmd_inspect_partition(cfg, out, args.quiet)
             return cmd_baseline(cfg, out, args.quiet)
-        except (ConfigError, ValueError, OSError) as exc:
+        except (ConfigError, ValueError, OSError, Warning) as exc:  # a warning under "error"
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -112,8 +112,10 @@ def test_the_names_the_benchmark_binds_exist():
 
 
 # Calls that write a file whatever their arguments; open() writes by its mode.
+# A named scratch file could be left half written, so it counts as a writer;
+# an anonymous tempfile.TemporaryFile never has a name, and is allowed.
 DIRECT_WRITERS = {"write_text", "write_bytes", "save", "savez", "savez_compressed",
-                  "savetxt", "tofile"}
+                  "savetxt", "tofile", "NamedTemporaryFile", "mkstemp"}
 
 
 def opens_for_writing(call: ast.Call) -> bool:

@@ -634,11 +634,11 @@ def test_baseline_writes_summary(tmp_path, capsys):
     assert float(captured.out.split("=", 1)[1]) == payload["accuracy"]
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m fedsim *argv`` in a child that imports this test's fedsim checkout."""
+def run_module(*argv: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """``python *flags -m fedsim *argv`` in a child that imports this test's fedsim checkout."""
     src = str(Path(fedsim.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, "-m", "fedsim", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-m", "fedsim", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
 
@@ -650,9 +650,10 @@ def test_module_entrypoint_runs(tiny_cfg_path, tmp_path):
     assert (out / "rounds.csv").exists()
 
 
-def test_a_config_warning_shows_as_one_line(tmp_path):
+def test_a_config_warning_shows_as_one_line(tmp_path, capsys):
     # Python's own format would name config.py's path and line, then repeat
-    # the source line.  Only the format changes: an "error" filter still raises.
+    # the source line.  Only the format changes: an "error" filter still takes
+    # effect, and the warning then ends the run as a one-line error.
     cfg_path = tmp_path / "mu.cfg"
     cfg_path.write_text(TINY + "mu = 0.3\n", encoding="utf-8")
     argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"]
@@ -661,5 +662,19 @@ def test_a_config_warning_shows_as_one_line(tmp_path):
     assert proc.stderr == "warning: mu is ignored when method = fedavg\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UserWarning, match="^mu is ignored when method = fedavg$"):
-            main(argv)
+        assert main(argv) == 1
+    assert capsys.readouterr().err == "error: mu is ignored when method = fedavg\n"
+
+
+def test_a_config_warning_under_w_error_is_one_error_line(tmp_path):
+    # python -W error turns the warning into an exception; it is reported like
+    # any other bad input, with no traceback and no output directory.
+    cfg_path = tmp_path / "mu.cfg"
+    cfg_path.write_text(TINY + "mu = 0.3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_module("run", "--config", str(cfg_path), "--out", str(out), "--quiet",
+                      flags=("-W", "error"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: mu is ignored when method = fedavg\n"
+    assert proc.stdout == ""
+    assert not out.exists()
