@@ -11,10 +11,12 @@ of shards, which caps the number of distinct labels a client can hold.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import os
 import shutil
 import tempfile
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
@@ -373,27 +375,41 @@ def _write_rows(d: Dataset, rows: range, f: TextIO) -> None:
         f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _start_writer(d: Dataset, rows: range, path: str, stack: contextlib.ExitStack):
-    """``(process, part)``: a forked process formatting ``rows`` into a file beside ``path``."""
-    import multiprocessing  # here: a run that saves no dataset does not load it (0.7 MB)
-    part = stack.enter_context(tempfile.TemporaryFile(
-        "w+", encoding="utf-8", newline="\n", dir=os.path.dirname(os.path.abspath(path))))
+def _usable_cpus() -> int:
+    """CPUs in the process's affinity; 1 where forked workers cannot run."""
+    fork = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    return len(os.sched_getaffinity(0)) if fork else 1
 
-    def write() -> None:  # exits with a failure's errno, or 255; the parent reports it
+
+def _fork_range(work, r, stack: contextlib.ExitStack, **part):
+    """``(process, part)``: a forked process running ``work(r, part)``.
+
+    The part is an unnamed ``tempfile.TemporaryFile(**part)``.  The process
+    exits with its failure's errno, or 255, printing nothing; if it cannot
+    start, ``work`` runs here and the process is None.  ``stack`` kills and
+    joins the process and closes the part.
+    """
+    import multiprocessing  # here: a run that forks nothing does not load it (0.7 MB)
+    f = stack.enter_context(tempfile.TemporaryFile(**part))
+
+    def run() -> None:
         try:
-            _write_rows(d, rows, part)
-            part.flush()
+            work(r, f)
+            f.flush()
         except BaseException as exc:
             os._exit(getattr(exc, "errno", None) or 255)
 
-    proc = multiprocessing.get_context("fork").Process(target=write)
+    proc = multiprocessing.get_context("fork").Process(target=run)
     try:
-        proc.start()
-    except (OSError, AssertionError):  # a process limit, or a daemonic parent: write in-process
-        return None, part
+        with warnings.catch_warnings():  # 3.12+ warns once the child exists: not an error
+            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+            proc.start()
+    except (OSError, AssertionError):  # a process limit, or a daemonic parent
+        work(r, f)
+        return None, f
     stack.callback(proc.join)
-    stack.callback(proc.kill)  # runs first, so a writer left running is stopped
-    return proc, part
+    stack.callback(proc.kill)  # runs first, so a process left running is stopped
+    return proc, f
 
 
 def save_dataset(d: Dataset, path: str) -> None:
@@ -404,21 +420,21 @@ def save_dataset(d: Dataset, path: str) -> None:
     format one row range per usable CPU; the bytes do not depend on how many.
     """
     n, target = d.n_samples, os.fspath(path)
-    fork = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")  # "fork" writers need both
-    k = min(len(os.sched_getaffinity(0)) if fork else 1, -(-n // _ROWS_PER_BLOCK))
+    k = min(_usable_cpus(), -(-n // _ROWS_PER_BLOCK))
     ranges = [range(n * i // k, n * (i + 1) // k) for i in range(k)]
     with atomic_write(path) as f, contextlib.ExitStack() as stack:
-        writers = [_start_writer(d, rows, target, stack) for rows in ranges[1:]]
+        writers = [_fork_range(lambda r, part: _write_rows(d, r, part), rows, stack, mode="w+",
+                               encoding="utf-8", newline="\n",
+                               dir=os.path.dirname(os.path.abspath(target)))
+                   for rows in ranges[1:]]
         f.write(f"{d.feature_dim},{d.n_classes}\n")
         _write_rows(d, ranges[0], f)
-        for rows, (proc, part) in zip(ranges[1:], writers):
-            if proc is None:
-                _write_rows(d, rows, f)
-                continue
-            proc.join()
-            if code := proc.exitcode:  # the writer's errno; 255 or a signal carries none
-                why = os.strerror(code) if 0 < code < 255 else f"row writer exit status {code}"
-                raise OSError(code, why, target)
+        for proc, part in writers:
+            if proc is not None:
+                proc.join()
+                if code := proc.exitcode:  # the writer's errno; 255 or a signal carries none
+                    why = os.strerror(code) if 0 < code < 255 else f"row writer exit status {code}"
+                    raise OSError(code, why, target)
             part.seek(0)
             shutil.copyfileobj(part, f)
 
@@ -426,7 +442,12 @@ def save_dataset(d: Dataset, path: str) -> None:
 def _parse_rows(lines, feature_dim: int) -> np.ndarray:
     """Parse ``label,f1,...`` lines into a table with fields ``y`` and ``x``."""
     row = np.dtype([("y", np.int64), ("x", np.float64, (feature_dim,))])
-    return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+    lines = iter(lines)
+    first = next((line for line in lines if line != "\n"), None)
+    if first is None:  # only empty lines: no rows, and no loadtxt warning
+        return np.empty(0, row)
+    return np.loadtxt(itertools.chain([first], lines), dtype=row, delimiter=",",
+                      comments=None, ndmin=1)
 
 
 def _raise_at_first_bad_line(path: str, numbered_lines, feature_dim: int) -> None:
@@ -457,12 +478,84 @@ def _decode_error(exc: UnicodeDecodeError, f: TextIO) -> str:
     return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
+# Body bytes per reader process: below this, a fork and reading its part back
+# cost more than the parse it takes over.
+_BYTES_PER_READER = 1 << 20
+
+
+class _Span(io.RawIOBase):
+    """Bytes ``[start, stop)`` of file ``fd``; pread moves no offset that processes share."""
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
+        self.fd, self.pos, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = os.preadv(self.fd, [memoryview(b)[: self.stop - self.pos]], self.pos)
+        self.pos += n
+        return n
+
+
+def _line_end(fd: int, pos: int, stop: int) -> int:
+    """The offset just past the first ``b"\\n"`` at or after ``pos``, or ``stop``."""
+    while pos < stop and (chunk := os.pread(fd, 1 << 16, pos)):
+        if (i := chunk.find(b"\n")) >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return stop
+
+
+def _parse_in_ranges(f: TextIO, feature_dim: int) -> np.ndarray | None:
+    """The rows after ``f``'s header, one byte range per usable CPU, cut after a ``b"\\n"``.
+
+    None leaves the rows to one pass, which names any error: for a file that is
+    not regular, a small body, one CPU, or a range that fails.
+    """
+    fd = f.fileno()
+    size = os.fstat(fd).st_size if f.seekable() else 0  # a pipe is read in one pass
+    body = _line_end(fd, 0, size)
+    k = min(_usable_cpus(), (size - body) // _BYTES_PER_READER)
+    if k < 2:
+        return None
+    cuts = [0, *(_line_end(fd, body + (size - body) * i // k - 1, size) for i in range(1, k)), size]
+
+    def rows(span) -> np.ndarray:
+        lines = io.TextIOWrapper(_Span(fd, *span), encoding="utf-8")
+        if span[0] == 0:
+            lines.readline()  # the header, checked already
+        return _parse_rows(lines, feature_dim)
+
+    try:
+        with contextlib.ExitStack() as stack:
+            readers = [_fork_range(lambda r, part: part.write(rows(r)), span, stack)
+                       for span in zip(cuts[1:], cuts[2:])]
+            head = rows(cuts[:2])
+            for proc, _ in readers:
+                if proc is not None:
+                    proc.join()
+                    if proc.exitcode:  # a bad line or byte, or the reader failed
+                        return None
+            sizes = [part.seek(0, os.SEEK_END) for _, part in readers]
+            table = np.empty(len(head) + sum(sizes) // head.itemsize, head.dtype)
+            table[: len(head)] = head
+            raw, lo = table.view(np.uint8), head.nbytes
+            for (_, part), n in zip(readers, sizes):
+                part.seek(0)
+                lo += part.readinto(raw[lo : lo + n])
+            return table
+    except ValueError:  # a bad number or byte; UnicodeDecodeError is one too
+        return None
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a dataset written by save_dataset.
 
     After the header, empty lines are skipped and every other line holds an
     integer label and ``feature_dim`` floats, comma-separated.  An error names
-    the first line that breaks this.
+    the first line that breaks this.  A regular file is parsed one byte range
+    per usable CPU; the table and the errors do not depend on how many.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -482,8 +575,10 @@ def load_dataset(path: str) -> Dataset:
             # A first row as wide as the header says bounds feature_dim by the
             # file size before the row dtype is sized from it.
             _raise_at_first_bad_line(path, [first], feature_dim)
+            table = _parse_in_ranges(f, feature_dim)
             try:
-                table = _parse_rows(itertools.chain([first[1]], f), feature_dim)
+                if table is None:
+                    table = _parse_rows(itertools.chain([first[1]], f), feature_dim)
             except UnicodeDecodeError:
                 raise
             except ValueError as exc:

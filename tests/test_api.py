@@ -1,8 +1,8 @@
 """The package's exported names and a run config's fields, pinned so the
 API changes only on purpose, the names the benchmark harness binds, the one
 module that writes files, the one that checks configs, the modules that read
-a suite's sweep, and the config module's independence from the rest of the
-package."""
+a suite's sweep, the one function that starts processes, and the config
+module's independence from the rest of the package."""
 
 import ast
 import dataclasses
@@ -149,6 +149,40 @@ def test_only_the_atomic_writer_opens_files_for_writing():
         for fn, line in writers(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert [(name, fn) for name, fn, _ in found] == [("data.py", "atomic_write")], found
+
+
+# Modules, and functions of os and concurrent.futures, that start a process.
+PROCESS_MODULES = {"multiprocessing", "subprocess", "concurrent"}
+PROCESS_CALLS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen",
+                 "spawnl", "spawnle", "spawnlp", "spawnlpe", "spawnv", "spawnve", "spawnvp",
+                 "spawnvpe", "ProcessPoolExecutor"}
+
+
+def process_starters(node: ast.AST, where: str = "<module>"):
+    """(function, line) of each use under ``node`` of something that starts a process."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(child, "module", None) or "", *(a.name for a in child.names)]
+            calls = [a.name for a in child.names]
+        else:
+            modules, calls = [getattr(child, "id", None) or ""], [getattr(child, "attr", None)]
+        if (any(m.split(".")[0] in PROCESS_MODULES for m in modules)
+                or any(c in PROCESS_CALLS for c in calls)):
+            yield where, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from process_starters(child, inner)
+
+
+def test_only_the_fork_helper_starts_processes():
+    # save_dataset and load_dataset fork through data._fork_range, which
+    # stops and joins its process and keeps the fork warning from raising.
+    src = Path(fedsim.__file__).parent
+    found = [
+        (path.name, fn, line)
+        for path in sorted(src.glob("*.py"))
+        for fn, line in process_starters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert {(name, fn) for name, fn, _ in found} == {("data.py", "_fork_range")}, found
 
 
 # The config's rule check, under its current name and its former public one.

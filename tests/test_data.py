@@ -383,21 +383,20 @@ def test_save_dataset_into_a_missing_directory_names_the_target(tmp_path):
     assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
 
 
-@pytest.mark.parametrize(
-    "text, where",
-    [
-        ("2,3\n0,1,2\n\n\n1,x,2\n2,5,6\n", "5: malformed number"),
-        ("2,3\n0,1,2\n#1,2,3\n2,5,6\n", "3: malformed number"),
-        ("2,3\n0,1,2\n  \n1,2,3\n2,5,6\n", "3: expected 3 fields, got 1"),
-        ("2,3\n0,1_0,2\n1,2,3\n2,5,6\n", "2: malformed number"),
-        ("2,3\n0,1,2\n1.0,2,3\n2,5,6\n", "3: malformed number"),
-        ("2,3\n0,1,2\n99999999999999999999,2,3\n2,5,6\n", "3: malformed number"),
-        ("2,3\n0,1,2\n1,2,3,4\n2,5,6\n", "3: expected 3 fields, got 4"),
-        ("1000000000,3\n0,1,2\n", "2: expected 1000000001 fields, got 3"),
-    ],
-    ids=["after-blank-lines", "hash-row", "whitespace-line", "digit-separator",
-         "float-label", "oversized-label", "wide-row", "header-wider-than-rows"],
-)
+# A file's text, and where its error points: line number and message.
+BAD_LINES = {
+    "after-blank-lines": ("2,3\n0,1,2\n\n\n1,x,2\n2,5,6\n", "5: malformed number"),
+    "hash-row": ("2,3\n0,1,2\n#1,2,3\n2,5,6\n", "3: malformed number"),
+    "whitespace-line": ("2,3\n0,1,2\n  \n1,2,3\n2,5,6\n", "3: expected 3 fields, got 1"),
+    "digit-separator": ("2,3\n0,1_0,2\n1,2,3\n2,5,6\n", "2: malformed number"),
+    "float-label": ("2,3\n0,1,2\n1.0,2,3\n2,5,6\n", "3: malformed number"),
+    "oversized-label": ("2,3\n0,1,2\n99999999999999999999,2,3\n2,5,6\n", "3: malformed number"),
+    "wide-row": ("2,3\n0,1,2\n1,2,3,4\n2,5,6\n", "3: expected 3 fields, got 4"),
+    "header-wider-than-rows": ("1000000000,3\n0,1,2\n", "2: expected 1000000001 fields, got 3"),
+}
+
+
+@pytest.mark.parametrize("text, where", list(BAD_LINES.values()), ids=list(BAD_LINES))
 def test_load_dataset_names_the_first_bad_line(tmp_path, text, where):
     p = tmp_path / "bad.csv"
     p.write_text(text, encoding="utf-8")
@@ -405,14 +404,17 @@ def test_load_dataset_names_the_first_bad_line(tmp_path, text, where):
         load_dataset(p)
 
 
+# Past the first decoded chunk, so np.loadtxt meets the bad byte; the position
+# is still the byte's offset in the file.
+LATE_BAD_BYTE = (b"2,3\n" + b"0,1,2\n1,3,4\n2,5,6\n" * 2000 + b"1,\xff,4\n", 36006)
+
+
 @pytest.mark.parametrize(
     "raw,position",
     [
         (b"2,\xff3\n0,1,2\n1,3,4\n2,5,6\n", 2),
         (b"2,3\n0,1,2\n1,\xff,4\n2,5,6\n", 12),
-        # Past the first decoded chunk, so np.loadtxt meets the bad byte; the
-        # position is still the byte's offset in the file.
-        (b"2,3\n" + b"0,1,2\n1,3,4\n2,5,6\n" * 2000 + b"1,\xff,4\n", 36006),
+        LATE_BAD_BYTE,
     ],
     ids=["header", "row", "late-row"],
 )

@@ -1,8 +1,4 @@
-"""save_dataset's forked row writers: the same bytes at any CPU count, and clean failures.
-
-The CPU count is read from os.sched_getaffinity, so patching it runs the
-writer path even on a one-CPU machine.
-"""
+"""save_dataset's forked row writers: the same bytes at any CPU count, and clean failures."""
 
 import errno
 import multiprocessing
@@ -22,29 +18,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPU count save_dataset sees."""
-    def use(k: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-    return use
-
-
-@pytest.fixture
-def writers_started(monkeypatch):
-    """A list that gains one entry per writer process save_dataset starts."""
-    started = []
-    start = data._start_writer
-
-    def counting(*args):
-        proc, part = start(*args)
-        started.append(proc)
-        return proc, part
-
-    monkeypatch.setattr(data, "_start_writer", counting)
-    return started
-
-
 def assert_clean(tmp_path):
     assert multiprocessing.active_children() == []
     assert os.listdir(tmp_path) == ["data.csv"]
@@ -54,14 +27,14 @@ def assert_clean(tmp_path):
 # ranges of unequal size; 12289 rows at 3 CPUs leave n % k == 1.
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [4096, 4097, 2 * 4096 + 3, 3 * 4096 + 1])
-def test_every_cpu_count_writes_the_per_value_bytes(tmp_path, cpus, writers_started, n, k):
+def test_every_cpu_count_writes_the_per_value_bytes(tmp_path, cpus, forked, n, k):
     cpus(k)
     d = generate_synthetic(n, 3, 3, 2.5, n)
     path = tmp_path / "data.csv"
     save_dataset(d, path)
     assert path.read_bytes() == dataset_text(d).encode("utf-8")
-    assert len(writers_started) == min(k, -(-n // 4096)) - 1
-    assert all(p is not None and p.exitcode == 0 for p in writers_started)
+    assert len(forked) == min(k, -(-n // 4096)) - 1
+    assert all(p is not None and p.exitcode == 0 for p in forked)
     assert_clean(tmp_path)
 
 

@@ -2,6 +2,8 @@
 cohort invariance."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +292,38 @@ def test_cohort_update_is_bit_identical_to_training_alone(
         alone, loss = local_train(w0, d, splits[c], cfg, (7, c))
         assert same_params(ParamVector(weights[i], bias[i]), alone)
         assert losses[i] == loss
+
+
+def test_cohorts_trained_in_threads_at_once_match_those_trained_in_turn():
+    # Each thread reuses its own shuffling generator; one shared by the threads
+    # could take another cohort's stream between its seeding and its shuffle.
+    d = generate_synthetic(200, 3, 5, 3.0, 0)
+    splits = [ClientSplit(c, np.arange(40 * c, 40 * c + 40)) for c in range(5)]
+    w0 = ParamVector.zeros(3, 5)
+    cfg = ExperimentConfig(batch_size=4, local_epochs=3)
+    seeds = [[(s, c) for c in range(5)] for s in range(8)]
+    in_turn = [train_cohort(w0, d, splits, cfg, cohort)[0] for cohort in seeds]
+    at_once = [[] for _ in seeds]
+    barrier = threading.Barrier(len(seeds))
+
+    def train(i):
+        barrier.wait()
+        for _ in range(20):
+            at_once[i].append(train_cohort(w0, d, splits, cfg, seeds[i])[0])
+
+    threads = [threading.Thread(target=train, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(at_once, in_turn):
+        assert len(got) == 20 and all(np.array_equal(w, want) for w in got)
 
 
 def test_divergence_names_the_first_diverging_client_and_epoch():
