@@ -36,7 +36,8 @@ def accuracy(params: ParamVector, test: Dataset) -> float:
             f"dataset has {test.n_classes} classes but parameters cover "
             f"{params.n_classes}"
         )
-    logits = test.features @ params.weights.T + params.bias
+    logits = test.features @ params.weights.T
+    logits += params.bias
     preds = logits.argmax(axis=1)
     return float((preds == test.labels).mean())
 

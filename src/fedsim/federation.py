@@ -10,32 +10,19 @@ clients share its round, and rows are averaged in ascending client-id order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .config import (WEIGHTINGS, ConfigError, ExperimentConfig, Sweep, SyntheticData,
                      clients_per_round, suite_cells)
-from .data import (
-    ClientSplit,
-    Dataset,
-    load_dataset,
-    partition_iid,
-    partition_shards,
-    synthetic_train_test,
-)
+from .data import (ClientSplit, Dataset, load_dataset, partition_iid, partition_shards,
+                   synthetic_train_test)
 from .evaluation import accuracy
 from .model import ParamVector
-from .seeds import (
-    DATA_STREAM,
-    LOCAL_STREAM,
-    PARTITION_STREAM,
-    SELECTION_STREAM,
-    SeedKey,
-    derive,
-    key_rng,
-)
-from .training import DivergenceError, train_cohort
+from .seeds import (DATA_STREAM, LOCAL_STREAM, PARTITION_STREAM, SELECTION_STREAM, SeedKey,
+                    derive, finish_states, key_rng, mix_counters)
+from .training import DivergenceError, _train_cohort
 
 __all__ = [
     "ExperimentData",
@@ -213,6 +200,28 @@ def prepare_suite(
             for mt, pt, cell in suite_cells(cfg, sweep)]
 
 
+_BLOCK_KEYS = 2048  # training streams seeded at once, in whole rounds
+
+
+def _round_streams(
+    cfg: ExperimentConfig, n_clients: int
+) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
+    # Each round's selected clients and its streams' PCG64 states, keyed
+    # (seed, LOCAL_STREAM, r, c, e), epoch-major.  A block of whole rounds is
+    # selected and mixed at once; each round finishes only its own keys.
+    per_round = cfg.local_epochs * clients_per_round(n_clients, cfg.fraction)
+    block = max(1, _BLOCK_KEYS // max(1, per_round))
+    for first in range(0, cfg.rounds, block):
+        rounds = range(first, min(first + block, cfg.rounds))
+        chosen = [select_clients(n_clients, cfg.fraction, cfg.seed, r) for r in rounds]
+        counters = np.broadcast_arrays(np.array(rounds)[:, None, None],
+                                       np.array(chosen)[:, None, :],
+                                       np.arange(cfg.local_epochs)[:, None])
+        mixed = mix_counters((cfg.seed, LOCAL_STREAM), np.stack(counters).reshape(3, -1))
+        for r, selected, words in zip(rounds, chosen, np.split(mixed, len(rounds), axis=1)):
+            yield r, selected, finish_states(words)
+
+
 def run_federation(
     cfg: ExperimentConfig,
     data: ExperimentData | None = None,
@@ -232,12 +241,10 @@ def run_federation(
         data = prepare_experiment(cfg)
     params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
     history: list[RoundReport] = []
-    for r in range(cfg.rounds):
-        selected = select_clients(len(data.splits), cfg.fraction, cfg.seed, r)
+    for r, selected, states in _round_streams(cfg, len(data.splits)):
         splits = [data.splits[c] for c in selected]
-        seeds = [derive(cfg.seed, LOCAL_STREAM, r, c) for c in selected]
         try:
-            weights, bias, losses = train_cohort(params, data.train, splits, cfg, seeds)
+            weights, bias, losses = _train_cohort(params, data.train, splits, cfg, states)
         except DivergenceError as exc:
             raise ValueError(f"round {r}, {exc}") from None
         params = aggregate(weights, bias, [s.n_samples for s in splits], cfg.weighting)

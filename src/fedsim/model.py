@@ -6,7 +6,9 @@ function is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,11 +57,17 @@ class ParamVector:
 
 
 def _fold(op, a: np.ndarray) -> np.ndarray:
-    # ``op`` over the last axis of ``a``, one column at a time from the first.
-    acc = a[..., 0].copy()
-    for c in range(1, a.shape[-1]):
+    # ``op`` over the last axis of ``a`` (2+ columns), one column at a time from the first.
+    acc = op(a[..., 0], a[..., 1])
+    for c in range(2, a.shape[-1]):
         op(acc, a[..., c], out=acc)
     return acc
+
+
+@lru_cache(maxsize=256)  # steps repeat shapes; read-only, so no caller can change one
+def _label_base(shape: tuple[int, ...], n_classes: int) -> np.ndarray:
+    # The flat index of class 0 in each row of logits (*shape, n_classes).
+    return _readonly(np.arange(0, math.prod(shape) * n_classes, n_classes).reshape(shape))
 
 
 def loss_grad(
@@ -79,22 +87,22 @@ def loss_grad(
     alone, so its results are bit-identical to an unstacked call.  Inputs are
     not checked: callers pass labels in ``[0, C)`` and matching ``d``.
 
-    Below 8 classes the class-axis max and sum go one column at a time, which
-    skips an ndarray reduction's per-row cost.  numpy's add-reduce sums fewer
-    than 8 items in order, so the column sum keeps its bits; from 8 classes
-    on it sums pairwise, and both stay ndarray reductions.
+    From 2 to 7 classes the class-axis max and sum go one column at a time,
+    which skips an ndarray reduction's per-row cost.  numpy's add-reduce sums
+    fewer than 8 items in order, so the column sum keeps its bits; from 8
+    classes on it sums pairwise, and both stay ndarray reductions.
     """
     z = x @ weights.swapaxes(-1, -2)
     z += bias[..., None, :]
     n_classes, n = z.shape[-1], x.shape[-2]
-    fold = n_classes < 8
+    fold = 2 <= n_classes < 8
     z -= (_fold(np.maximum, z) if fold else z.max(axis=-1))[..., None]
     ez = np.exp(z)
     denom = _fold(np.add, ez) if fold else ez.sum(axis=-1)
-    at = np.arange(0, z.size, n_classes) + y.reshape(-1)  # each label's flat index
+    at = _label_base(y.shape, n_classes) + y  # each label's flat index, shaped as y
     loss = None
     if with_loss:
-        loss = -(z.reshape(-1)[at].reshape(y.shape) - np.log(denom)).sum(axis=-1) / n
+        loss = -(z.reshape(-1)[at] - np.log(denom)).sum(axis=-1) / n
     ez /= denom[..., None]  # the softmax, then minus the one-hot labels
     ez.reshape(-1)[at] -= 1.0
     gw = ez.swapaxes(-1, -2) @ x

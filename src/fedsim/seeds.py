@@ -7,11 +7,11 @@ statistically independent, and a stream's output never depends on which other
 streams were consumed before it, so a client's shuffles are the same whether
 it trains alone or in a cohort.
 
-A stream is ``default_rng(SeedSequence(key))``.  ``pcg64_states`` derives a
-cohort's per-client, per-epoch streams in one pass, porting SeedSequence's
-mixing (O'Neill's seed_seq_fe) and PCG64's seeding to array operations; a
-test pins that it gives key_rng's PCG64 state, so a numpy whose SeedSequence
-changed would fail that test rather than silently change outputs.
+A stream is ``default_rng(SeedSequence(key))``.  ``mix_words`` ports
+SeedSequence's mixing (O'Neill's seed_seq_fe) to one array pass over many keys,
+and ``finish_states`` turns each key's words into PCG64's ``(state, inc)``; a
+test pins that ``pcg64_states``, the two composed, gives key_rng's state, so a
+numpy whose SeedSequence changed would fail it rather than change outputs.
 """
 
 from __future__ import annotations
@@ -75,9 +75,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _seed_words(words: np.ndarray) -> np.ndarray:
-    # (n, m) uint32 entropy words of m keys -> (4, m) uint64, the words of
-    # generate_state(4, uint64).  Arrays only: uint32 arrays wrap silently.
+def _words(key: tuple[int, ...]) -> list[int]:
+    # Each value as its little-endian uint32 words, 0 as [0], like SeedSequence.
+    return [(v >> s) & _MASK32 for v in key for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def mix_words(words: np.ndarray) -> np.ndarray:
+    """(n, m) uint32 entropy words of m keys -> (4, m) uint64, each column the
+    words of that key's ``generate_state(4, uint64)``."""
+    # Arrays only: uint32 arrays wrap silently.
     n, m = words.shape
     h = _hash_consts(INIT_A, MULT_A, 16 + 4 * max(n - 4, 0))
     pool = _hashmix(np.vstack([words[:4], np.zeros((max(4 - n, 0), m), np.uint32)]), h[:5])
@@ -89,22 +95,30 @@ def _seed_words(words: np.ndarray) -> np.ndarray:
     return out[0::2] | (out[1::2] << np.uint64(32))
 
 
+def finish_states(mixed: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's ``(state, inc)`` for each column of ``mix_words``' output."""
+    return [(((((s0 << 64) | s1) + inc) * PCG64_MULT + inc) & _MASK128, inc)
+            for s0, s1, q0, q1 in mixed.T.tolist()
+            for inc in [((((q0 << 64) | q1) << 1) | 1) & _MASK128]]
+
+
+def mix_counters(prefix: SeedKey, counters: np.ndarray) -> np.ndarray:
+    """``mix_words`` for the keys ``prefix + tuple(counters[:, j])``, one per
+    column of the integer array ``counters (k, m)``, each entry in [0, 2**32)."""
+    head = np.array(_words(as_key(prefix)), np.uint32)[:, None].repeat(counters.shape[1], axis=1)
+    return mix_words(np.vstack([head, counters.astype(np.uint32)]))
+
+
 def pcg64_states(keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
     """``(state, inc)`` of ``key_rng(key).bit_generator`` for each key, in one pass."""
     values = [v for key in keys for v in key]
     if min(values, default=0) < 0:
         raise ValueError("expected non-negative integer")
-    # Each value as its little-endian uint32 words, 0 as [0], like SeedSequence;
-    # in the usual case, every value one word, the keys are their own words.
-    words = keys if max(values, default=0) <= _MASK32 else [
-        [(v >> s) & _MASK32 for v in key for s in range(0, max(v.bit_length(), 1), 32)]
-        for key in keys]
-    states: list[tuple[int, int]] = [(0, 0)] * len(words)
+    # In the usual case, every value one word, the keys are their own words.
+    words = keys if max(values, default=0) <= _MASK32 else list(map(_words, keys))
+    mixed = np.empty((4, len(words)), np.uint64)
     for n in set(map(len, words)):
         where = [p for p, w in enumerate(words) if len(w) == n]
         flat = [v for p in where for v in words[p]]  # numpy reads a flat list faster
-        block = np.array(flat, dtype=np.uint32).reshape(len(where), n)
-        for p, (s0, s1, q0, q1) in zip(where, _seed_words(block.T).T.tolist()):
-            inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
-            states[p] = (((((s0 << 64) | s1) + inc) * PCG64_MULT + inc) & _MASK128, inc)
-    return states
+        mixed[:, where] = mix_words(np.array(flat, dtype=np.uint32).reshape(len(where), n).T)
+    return finish_states(mixed)

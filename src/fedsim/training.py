@@ -18,7 +18,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import ClientSplit, Dataset
 from .model import ParamVector, loss_grad
-from .seeds import SeedKey, as_key, pcg64_states
+from .seeds import SeedKey, derive, pcg64_states
 
 __all__ = ["DivergenceError", "train_cohort"]
 
@@ -27,12 +27,9 @@ class DivergenceError(ValueError):
     """Local SGD overflowed, hit an invalid value, or left no float headroom."""
 
 
-def _check_cohort(w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit],
-                  seeds: Sequence[SeedKey]) -> None:
+def _check_cohort(w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit]) -> None:
     if not splits:
         raise ValueError("splits must be non-empty")
-    if len(seeds) != len(splits):
-        raise ValueError(f"got {len(seeds)} seeds for {len(splits)} clients")
     for split in splits:
         if int(split.indices[-1]) >= data.n_samples:
             raise ValueError(
@@ -97,24 +94,33 @@ def train_cohort(
     epoch, raises DivergenceError naming the first client, in the given
     order, whose training diverges on its own.
     """
-    _check_cohort(w_g, data, splits, seeds)
+    if splits and len(seeds) != len(splits):
+        raise ValueError(f"got {len(seeds)} seeds for {len(splits)} clients")
+    return _train_cohort(w_g, data, splits, cfg, pcg64_states(
+        [derive(seed, e) for e in range(cfg.local_epochs) for seed in seeds]))
+
+
+def _train_cohort(
+    w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit],
+    cfg: ExperimentConfig, states: Sequence[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # train_cohort, given the PCG64 (state, inc) of each client's stream in
+    # each epoch: states[e * m + i] shuffles splits[i] in epoch e.
+    _check_cohort(w_g, data, splits)
     # Largest clients first, so that each step's groups are slices.
     rank = sorted(range(len(splits)), key=lambda i: -splits[i].n_samples)
     sizes = tuple(splits[i].n_samples for i in rank)
     plan = _step_groups(sizes, cfg.batch_size)
     use_prox = cfg.method == "fedprox" and cfg.mu != 0.0
-    lr, bs = cfg.learning_rate, cfg.batch_size
-    w = np.repeat(w_g.weights[None], len(rank), axis=0)
-    b = np.repeat(w_g.bias[None], len(rank), axis=0)
-    orders = np.zeros((len(rank), sizes[0]), dtype=np.int64)
-    losses = np.empty((len(rank), len(plan)))
-    # Each client's per-epoch stream, derive(seeds[i], epoch), seeded in one
-    # pass; shuffling in place draws what key_rng(...).permutation would.  Each
+    lr, bs, m = cfg.learning_rate, cfg.batch_size, len(splits)
+    w = np.repeat(w_g.weights[None], m, axis=0)
+    b = np.repeat(w_g.bias[None], m, axis=0)
+    orders = np.zeros((m, sizes[0]), dtype=np.int64)
+    losses = np.empty((m, len(plan)))
+    # Shuffling in place draws what key_rng(...).permutation would.  Each
     # stream sets the reused generator's whole state, so no call sees another's.
-    keys = [as_key(seeds[i]) for i in rank]
-    states = pcg64_states([k + (e,) for e in range(cfg.local_epochs) for k in keys])
-    streams = iter([{"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
-                     "has_uint32": 0, "uinteger": 0} for s, inc in states])
+    streams = [{"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                "has_uint32": 0, "uinteger": 0} for s, inc in states]
     gen = getattr(_shuffler, "gen", None)
     if gen is None:
         gen = _shuffler.gen = np.random.Generator(np.random.PCG64(0))
@@ -123,10 +129,11 @@ def train_cohort(
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(cfg.local_epochs):
                 for j, i in enumerate(rank):
-                    gen.bit_generator.state = next(streams)
+                    gen.bit_generator.state = streams[epoch * m + i]
                     row = orders[j, : sizes[j]]
                     row[:] = splits[i].indices
                     gen.shuffle(row)
+                labels = data.labels.take(orders)  # the epoch's labels; features go per step
                 record = epoch == cfg.local_epochs - 1
                 for step, groups in enumerate(plan):
                     start = step * bs
@@ -134,7 +141,7 @@ def train_cohort(
                         idx = orders[lo:hi, start : start + length]
                         wg, bg = w[lo:hi], b[lo:hi]
                         loss, gw, gb = loss_grad(wg, bg, data.features.take(idx, axis=0),
-                                                 data.labels.take(idx), record)
+                                                 labels[lo:hi, start : start + length], record)
                         if use_prox:
                             dw = wg - w_g.weights
                             db = bg - w_g.bias
@@ -154,11 +161,11 @@ def train_cohort(
                 # squared update norm is computed only for the overflow it
                 # raises then.
                 dw, db = w - w_g.weights, b - w_g.bias
-                (dw * dw).reshape(len(rank), -1).sum(axis=1) + (db * db).sum(axis=1)
+                (dw * dw).reshape(m, -1).sum(axis=1) + (db * db).sum(axis=1)
     except FloatingPointError:
-        if len(splits) > 1:  # name the first client that diverges alone
-            for split, seed in zip(splits, seeds):
-                train_cohort(w_g, data, [split], cfg, [seed])
+        if m > 1:  # name the first client that diverges alone, on its own streams
+            for i, split in enumerate(splits):
+                _train_cohort(w_g, data, [split], cfg, states[i::m])
         raise DivergenceError(
             f"client {splits[0].client_id}, epoch {epoch}: local training diverged"
         ) from None

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedsim.federation
+import fedsim.seeds
 from fedsim.config import ExperimentConfig, FileData, Sweep, SyntheticData
 from fedsim.data import save_dataset, synthetic_train_test
 from fedsim.evaluation import accuracy
@@ -338,3 +340,27 @@ def test_build_datasets_rejects_mismatched_files(tmp_path):
     save_dataset(other, b)
     with pytest.raises(ValueError, match="do not match"):
         build_datasets(tiny_config(dataset=FileData(str(a), str(b))))
+
+
+def test_a_run_mixes_its_training_seeds_once_per_block(monkeypatch):
+    # A round's streams are mixed with those of the other rounds of its block,
+    # not each on its own; selection still runs once per round.
+    calls = {"mix": 0, "select": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fedsim.seeds, "mix_words", counted("mix", fedsim.seeds.mix_words))
+    monkeypatch.setattr(fedsim.federation, "select_clients",
+                        counted("select", fedsim.federation.select_clients))
+    cfg = tiny_config(rounds=30, n_clients=10, fraction=0.5, local_epochs=2, batch_size=64)
+    data = prepare_experiment(cfg)
+    for block_keys, blocks in [(fedsim.federation._BLOCK_KEYS, 1), (40, 8)]:
+        # 5 clients and 2 epochs make 10 keys a round: 300 keys, or 4 rounds a block.
+        monkeypatch.setattr(fedsim.federation, "_BLOCK_KEYS", block_keys)
+        calls.update(mix=0, select=0)
+        run_federation(cfg, data)
+        assert calls == {"mix": blocks, "select": 30}

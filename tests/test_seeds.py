@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsim.federation
 import fedsim.training
-from fedsim.cli import main
-from fedsim.seeds import as_key, derive, key_rng, pcg64_states
+from fedsim.config import ExperimentConfig, SyntheticData
+from fedsim.federation import aggregate, prepare_experiment, run_federation, select_clients
+from fedsim.model import ParamVector
+from fedsim.seeds import LOCAL_STREAM, as_key, derive, key_rng, pcg64_states
+from fedsim.training import train_cohort
+from oracles import same_params
 
 
 def test_as_key_normalizes_ints_and_tuples():
@@ -80,19 +85,39 @@ def test_pcg64_states_of_an_empty_batch_and_a_negative_value():
         pcg64_states([(1, -1)])
 
 
-def test_a_run_past_32_bit_seeds_shuffles_as_key_rng_does(tmp_path, monkeypatch):
-    # Every training key at this seed starts with a two-word value.  The
-    # reference run seeds each stream through key_rng instead.
-    cfg_path = tmp_path / "big.cfg"
-    cfg_path.write_text(
-        f"seed = {2**40 + 5}\nrounds = 4\nn_clients = 6\nfraction = 0.5\n"
-        "batch_size = 7\nlocal_epochs = 3\npartition = shards(2)\n"
-        "dataset = synthetic(n_samples=240, n_classes=4, feature_dim=8)\n",
-        encoding="utf-8",
+def reference_run(cfg, data):
+    """run_federation's rounds as first written: each round selects its
+    clients, then trains them on the seeds derive(seed, LOCAL_STREAM, r, c)."""
+    params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
+    losses = []
+    for r in range(cfg.rounds):
+        selected = select_clients(len(data.splits), cfg.fraction, cfg.seed, r)
+        splits = [data.splits[c] for c in selected]
+        seeds = [derive(cfg.seed, LOCAL_STREAM, r, c) for c in selected]
+        weights, bias, cohort = train_cohort(params, data.train, splits, cfg, seeds)
+        params = aggregate(weights, bias, [s.n_samples for s in splits], cfg.weighting)
+        losses.append(tuple(cohort.tolist()))
+    return params, losses
+
+
+def test_a_run_past_32_bit_seeds_shuffles_as_key_rng_does(monkeypatch):
+    # Every training key at this seed starts with a two-word value.  A run
+    # seeds a block of rounds' streams at once; the reference seeds each
+    # round's through train_cohort, and each stream through key_rng.  The
+    # blocks hold every round, or 2 rounds (9 keys a round) of 5.
+    cfg = ExperimentConfig(
+        seed=2**40 + 5, rounds=5, n_clients=6, fraction=0.5, batch_size=7, local_epochs=3,
+        partition_mode="shards", shards_per_client=2,
+        dataset=SyntheticData(n_samples=240, n_classes=4, feature_dim=8),
     )
-    argv = ["run", "--config", str(cfg_path), "--quiet", "--out"]
-    assert main(argv + [str(tmp_path / "batched")]) == 0
+    data = prepare_experiment(cfg)
+    runs = []
+    for block_keys in (fedsim.federation._BLOCK_KEYS, 18):
+        monkeypatch.setattr(fedsim.federation, "_BLOCK_KEYS", block_keys)
+        result = run_federation(cfg, data)
+        runs.append((result.final_state.global_params, [r.client_losses for r in result.history]))
     monkeypatch.setattr(fedsim.training, "pcg64_states", key_rng_states)
-    assert main(argv + [str(tmp_path / "reference")]) == 0
-    batched = (tmp_path / "batched" / "rounds.csv").read_bytes()
-    assert batched == (tmp_path / "reference" / "rounds.csv").read_bytes()
+    want_params, want_losses = reference_run(cfg, data)
+    for params, losses in runs:
+        assert losses == want_losses
+        assert same_params(params, want_params)

@@ -17,7 +17,7 @@ from fedsim.federation import aggregate
 from fedsim.model import ParamVector, loss_grad
 from fedsim.seeds import derive, key_rng
 from fedsim.training import DivergenceError, train_cohort
-from oracles import same_params
+from oracles import reference_loss_grad, same_params
 
 
 def small_problem(seed=0, n=40, n_classes=3, dim=5):
@@ -144,7 +144,8 @@ def test_local_train_single_batch_step_is_gradient_descent():
 
 
 def sgd_reference(w_g, data, split, cfg, seed):
-    """Reimplementation of the local loop, one client and one batch at a time."""
+    """Reimplementation of the local loop, one client and one batch at a time,
+    on the frozen reference kernel rather than the package's."""
     w = w_g.weights.copy()
     b = w_g.bias.copy()
     last = []
@@ -152,7 +153,7 @@ def sgd_reference(w_g, data, split, cfg, seed):
         order = key_rng(derive(seed, epoch)).permutation(split.indices)
         for start in range(0, order.size, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            loss, gw, gb = loss_grad(w, b, data.features[sel], data.labels[sel])
+            loss, gw, gb = reference_loss_grad(w, b, data.features[sel], data.labels[sel])
             loss = float(loss)
             if cfg.method == "fedprox" and cfg.mu != 0.0:
                 dw, db = w - w_g.weights, b - w_g.bias
