@@ -5,7 +5,9 @@ cross-entropy, which penalizes drifting away from the broadcast parameters
 during local epochs.  This is what keeps single-label clients from running
 off toward their own class.  Local training runs a round's clients as one
 lockstep cohort; a cohort of one is a single client.  It takes the run's
-ExperimentConfig, of which only the training fields act.  Run:
+ExperimentConfig, of which only the training fields and the seed act: each
+client shuffles with the streams a run of that config gives its client id in
+round 0.  Run:
 
     python3 demos/03_local_training.py
 """
@@ -21,9 +23,9 @@ from fedsim import (
 )
 
 
-def train_alone(anchor, data, split, cfg, seed):
+def train_alone(anchor, data, split, cfg):
     """A cohort of one: the client's parameters and its final-epoch loss."""
-    weights, bias, losses = train_cohort(anchor, data, [split], cfg, [seed])
+    weights, bias, losses = train_cohort(anchor, data, [split], cfg)
     return ParamVector(weights[0], bias[0]), float(losses[0])
 
 
@@ -62,13 +64,13 @@ def main() -> None:
             batch_size=32,
             local_epochs=10,
         )
-        params, loss = train_alone(anchor, data, split, cfg, seed=0)
+        params, loss = train_alone(anchor, data, split, cfg)
         print(f"  fedprox    {mu:>8.1f}  {drift(params, anchor):>8.4f}  {loss:>10.4f}")
 
     plain = ExperimentConfig(
         method="fedavg", learning_rate=0.05, batch_size=32, local_epochs=10
     )
-    params, loss = train_alone(anchor, data, split, plain, seed=0)
+    params, loss = train_alone(anchor, data, split, plain)
     print(f"  fedavg            -  {drift(params, anchor):>8.4f}  {loss:>10.4f}")
 
     # mu = 0 makes the penalty vanish, so fedprox reproduces fedavg exactly,
@@ -77,7 +79,7 @@ def main() -> None:
         method="fedprox", mu=0.0,
         learning_rate=0.05, batch_size=32, local_epochs=10,
     )
-    params_zero, _ = train_alone(anchor, data, split, zero, seed=0)
+    params_zero, _ = train_alone(anchor, data, split, zero)
     print("\nfedprox(mu=0) bit-identical to fedavg:", bit_identical(params_zero, params))
 
     # The penalty itself, measured at the fedavg endpoint.
@@ -86,11 +88,11 @@ def main() -> None:
 
     # All four clients as one cohort, stepped in lockstep: it comes back as
     # one stack, and each row is bit-identical to that client's solo run,
-    # whatever its cohort.
-    weights, bias, _ = train_cohort(anchor, data, splits, plain, seeds=[0, 1, 2, 3])
+    # whatever its cohort, since each client's streams follow its id.
+    weights, bias, _ = train_cohort(anchor, data, splits, plain)
     same = all(
-        bit_identical(ParamVector(w, b), train_alone(anchor, data, s, plain, i)[0])
-        for i, (s, w, b) in enumerate(zip(splits, weights, bias))
+        bit_identical(ParamVector(w, b), train_alone(anchor, data, s, plain)[0])
+        for s, w, b in zip(splits, weights, bias)
     )
     print("4-client cohort bit-identical to 4 solo runs:", same)
 

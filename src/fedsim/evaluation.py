@@ -11,7 +11,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import ClientSplit, Dataset
 from .model import ParamVector
-from .seeds import LOCAL_STREAM, derive
 from .training import train_cohort
 
 __all__ = [
@@ -56,8 +55,7 @@ def centralized_train(train: Dataset, cfg: ExperimentConfig, epochs: int) -> Par
         return params
     pooled = ClientSplit(0, np.arange(train.n_samples))
     weights, bias, _ = train_cohort(params, train, [pooled],
-                                    replace(cfg, local_epochs=epochs, method="fedavg"),
-                                    [derive(cfg.seed, LOCAL_STREAM, 0, 0)])
+                                    replace(cfg, local_epochs=epochs, method="fedavg"))
     return ParamVector(weights[0], bias[0])
 
 

@@ -20,8 +20,8 @@ from .data import (ClientSplit, Dataset, load_dataset, partition_iid, partition_
                    synthetic_train_test)
 from .evaluation import accuracy
 from .model import ParamVector
-from .seeds import (DATA_STREAM, LOCAL_STREAM, PARTITION_STREAM, SELECTION_STREAM, SeedKey,
-                    derive, finish_states, key_rng, mix_counters)
+from .seeds import (DATA_STREAM, PARTITION_STREAM, SELECTION_STREAM, SeedKey, derive,
+                    finish_states, key_rng, local_words)
 from .training import DivergenceError, _train_cohort
 
 __all__ = [
@@ -206,18 +206,14 @@ _BLOCK_KEYS = 2048  # training streams seeded at once, in whole rounds
 def _round_streams(
     cfg: ExperimentConfig, n_clients: int
 ) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
-    # Each round's selected clients and its streams' PCG64 states, keyed
-    # (seed, LOCAL_STREAM, r, c, e), epoch-major.  A block of whole rounds is
-    # selected and mixed at once; each round finishes only its own keys.
+    # Each round's selected clients and its streams' PCG64 states.  A block of
+    # whole rounds is selected and mixed at once; each round finishes its own.
     per_round = cfg.local_epochs * clients_per_round(n_clients, cfg.fraction)
     block = max(1, _BLOCK_KEYS // max(1, per_round))
     for first in range(0, cfg.rounds, block):
         rounds = range(first, min(first + block, cfg.rounds))
         chosen = [select_clients(n_clients, cfg.fraction, cfg.seed, r) for r in rounds]
-        counters = np.broadcast_arrays(np.array(rounds)[:, None, None],
-                                       np.array(chosen)[:, None, :],
-                                       np.arange(cfg.local_epochs)[:, None])
-        mixed = mix_counters((cfg.seed, LOCAL_STREAM), np.stack(counters).reshape(3, -1))
+        mixed = local_words(cfg.seed, rounds, chosen, cfg.local_epochs)
         for r, selected, words in zip(rounds, chosen, np.split(mixed, len(rounds), axis=1)):
             yield r, selected, finish_states(words)
 

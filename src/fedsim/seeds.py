@@ -9,9 +9,9 @@ it trains alone or in a cohort.
 
 A stream is ``default_rng(SeedSequence(key))``.  ``mix_words`` ports
 SeedSequence's mixing (O'Neill's seed_seq_fe) to one array pass over many keys,
-and ``finish_states`` turns each key's words into PCG64's ``(state, inc)``; a
-test pins that ``pcg64_states``, the two composed, gives key_rng's state, so a
-numpy whose SeedSequence changed would fail it rather than change outputs.
+and ``finish_states`` turns each key's words into PCG64's ``(state, inc)``.
+``local_words`` alone keys local training's streams; a test pins their states
+to key_rng's, so a changed numpy SeedSequence fails it, not the outputs.
 """
 
 from __future__ import annotations
@@ -102,23 +102,15 @@ def finish_states(mixed: np.ndarray) -> list[tuple[int, int]]:
             for inc in [((((q0 << 64) | q1) << 1) | 1) & _MASK128]]
 
 
-def mix_counters(prefix: SeedKey, counters: np.ndarray) -> np.ndarray:
-    """``mix_words`` for the keys ``prefix + tuple(counters[:, j])``, one per
-    column of the integer array ``counters (k, m)``, each entry in [0, 2**32)."""
-    head = np.array(_words(as_key(prefix)), np.uint32)[:, None].repeat(counters.shape[1], axis=1)
-    return mix_words(np.vstack([head, counters.astype(np.uint32)]))
-
-
-def pcg64_states(keys: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``key_rng(key).bit_generator`` for each key, in one pass."""
-    values = [v for key in keys for v in key]
-    if min(values, default=0) < 0:
-        raise ValueError("expected non-negative integer")
-    # In the usual case, every value one word, the keys are their own words.
-    words = keys if max(values, default=0) <= _MASK32 else list(map(_words, keys))
-    mixed = np.empty((4, len(words)), np.uint64)
-    for n in set(map(len, words)):
-        where = [p for p, w in enumerate(words) if len(w) == n]
-        flat = [v for p in where for v in words[p]]  # numpy reads a flat list faster
-        mixed[:, where] = mix_words(np.array(flat, dtype=np.uint32).reshape(len(where), n).T)
-    return finish_states(mixed)
+def local_words(seed: SeedKey, rounds: Sequence[int], chosen: Sequence[Sequence[int]],
+                epochs: int) -> np.ndarray:
+    """``mix_words`` for the training streams of ``rounds``; round ``rounds[k]``
+    trains the m clients ``chosen[k]``.  Column ``(k * epochs + e) * m + i`` is
+    keyed ``(seed, LOCAL_STREAM, rounds[k], chosen[k][i], e)``.  A round or
+    client id past 32 bits raises OverflowError."""
+    counters = np.broadcast_arrays(np.array(rounds, np.uint32)[:, None, None],
+                                   np.array(chosen, np.uint32)[:, None, :],
+                                   np.arange(epochs, dtype=np.uint32)[:, None])
+    flat = np.stack(counters).reshape(3, -1)
+    head = np.array(_words(derive(seed, LOCAL_STREAM)), np.uint32)[:, None]
+    return mix_words(np.vstack([head.repeat(flat.shape[1], axis=1), flat]))

@@ -18,7 +18,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import ClientSplit, Dataset
 from .model import ParamVector, loss_grad
-from .seeds import SeedKey, derive, pcg64_states
+from .seeds import finish_states, local_words
 
 __all__ = ["DivergenceError", "train_cohort"]
 
@@ -70,15 +70,15 @@ _shuffler = threading.local()  # a generator per thread: seeding a new one costs
 
 
 def train_cohort(
-    w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit],
-    cfg: ExperimentConfig, seeds: Sequence[SeedKey],
+    w_g: ParamVector, data: Dataset, splits: Sequence[ClientSplit], cfg: ExperimentConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run ``cfg.local_epochs`` epochs of mini-batch SGD for each client, in lockstep.
 
     ``cfg``, checked when it was built, gives the training fields.
     Client i starts from a copy of ``w_g``.  Each epoch reshuffles its split's
-    indices with its own stream, ``derive(seeds[i], epoch)``, then walks
-    batches of ``cfg.batch_size`` in order, keeping the final partial batch.
+    indices with the stream a run of ``cfg`` gives client ``splits[i].client_id``
+    in that epoch of round 0, then walks batches of ``cfg.batch_size`` in order,
+    keeping the final partial batch.
     Gradients are means over the batch; under fedprox the gradient adds
     ``cfg.mu * (w - w_g)``.  The reported loss is the mean per-batch objective
     of the final epoch, measured before each step.  Returns the cohort as one
@@ -94,10 +94,9 @@ def train_cohort(
     epoch, raises DivergenceError naming the first client, in the given
     order, whose training diverges on its own.
     """
-    if splits and len(seeds) != len(splits):
-        raise ValueError(f"got {len(seeds)} seeds for {len(splits)} clients")
-    return _train_cohort(w_g, data, splits, cfg, pcg64_states(
-        [derive(seed, e) for e in range(cfg.local_epochs) for seed in seeds]))
+    ids = [split.client_id for split in splits]
+    return _train_cohort(w_g, data, splits, cfg,
+                         finish_states(local_words(cfg.seed, [0], [ids], cfg.local_epochs)))
 
 
 def _train_cohort(

@@ -1,8 +1,9 @@
 """The package's exported names and a run config's fields, pinned so the
 API changes only on purpose, the names the benchmark harness binds, the one
 module that writes files, the one that checks configs, the modules that read
-a suite's sweep, the one function that starts processes, and the config
-module's independence from the rest of the package."""
+a suite's sweep, the one that keys local training's streams, the one
+function that starts processes, and the config module's independence from
+the rest of the package."""
 
 import ast
 import dataclasses
@@ -198,14 +199,28 @@ def identifiers(tree: ast.AST):
                 yield name, getattr(node, "lineno", 0)
 
 
-def test_only_the_config_module_names_the_rule_check():
-    # ExperimentConfig runs its rules when it is built, so no other module has
-    # a reason to check a config again.
+def lines_naming(names):
+    """{module file: [line, ...]} of where each package module names any of ``names``."""
     found = {}
     for path in sorted(Path(fedsim.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found[path.name] = [line for name, line in identifiers(tree) if name in RULE_CHECKS]
+        found[path.name] = [line for name, line in identifiers(tree) if name in names]
+    return found
+
+
+def test_only_the_config_module_names_the_rule_check():
+    # ExperimentConfig runs its rules when it is built, so no other module has
+    # a reason to check a config again.
+    found = lines_naming(RULE_CHECKS)
     assert found.pop("config.py"), "the guard no longer sees the check it guards"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_seeds_module_names_the_training_stream():
+    # Local training's keys are laid out by seeds.local_words alone, so a run,
+    # a cohort and the pooled baseline cannot key a client's streams apart.
+    found = lines_naming({"LOCAL_STREAM"})
+    assert found.pop("seeds.py"), "the guard no longer sees the stream it guards"
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

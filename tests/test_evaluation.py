@@ -16,7 +16,6 @@ from fedsim.evaluation import (
 from fedsim.federation import run_federation
 from fedsim.model import ParamVector
 from fedsim.training import train_cohort
-from fedsim.seeds import LOCAL_STREAM, derive
 from oracles import same_params
 
 
@@ -61,7 +60,6 @@ def test_centralized_train_is_full_split_local_train():
         d,
         [ClientSplit(0, np.arange(50))],
         replace(cfg, local_epochs=4),
-        [derive(7, LOCAL_STREAM, 0, 0)],
     )
     assert same_params(got, ParamVector(weights[0], bias[0]))
 

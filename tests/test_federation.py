@@ -19,7 +19,6 @@ from fedsim.federation import (
     select_clients,
 )
 from fedsim.model import ParamVector
-from fedsim.seeds import LOCAL_STREAM, derive
 from fedsim.training import train_cohort
 from oracles import (left_to_right_mean, max_abs_diff, rand_params, same_params,
                      scalar_weighted_mean, stack_params)
@@ -200,13 +199,7 @@ def test_one_round_matches_clients_trained_alone():
     assert len({s.n_samples for s in data.splits}) > 1
     report, params = one_round(cfg, data)
     zeros = ParamVector.zeros(4, 8)
-    alone = [
-        train_cohort(
-            zeros, data.train, [s], cfg,
-            [derive(cfg.seed, LOCAL_STREAM, 0, s.client_id)],
-        )
-        for s in data.splits
-    ]
+    alone = [train_cohort(zeros, data.train, [s], cfg) for s in data.splits]
     assert report.client_losses == tuple(float(losses[0]) for _, _, losses in alone)
     weights = np.concatenate([w for w, _, _ in alone])
     bias = np.concatenate([b for _, b, _ in alone])

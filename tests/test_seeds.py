@@ -1,17 +1,15 @@
 """Seed-key normalization, stream derivation, and the batched PCG64 seeding."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim.federation
-import fedsim.training
 from fedsim.config import ExperimentConfig, SyntheticData
 from fedsim.federation import aggregate, prepare_experiment, run_federation, select_clients
 from fedsim.model import ParamVector
-from fedsim.seeds import LOCAL_STREAM, as_key, derive, key_rng, pcg64_states
-from fedsim.training import train_cohort
+from fedsim.seeds import LOCAL_STREAM, as_key, derive, finish_states, key_rng, local_words
+from fedsim.training import _train_cohort
 from oracles import same_params
 
 
@@ -63,38 +61,41 @@ def key_rng_states(keys):
     return [(s["state"], s["inc"]) for s in states]
 
 
-# 0, one-word values, values just past a word boundary, and up to two words.
-VALUES = st.one_of(
+# Seeds of one to three words: 0, values about the 2**32 and 2**64 boundaries,
+# and up to 2**96 - 1.  Rounds and client ids are one word each.
+SEEDS = st.one_of(
     st.just(0),
     st.integers(0, 2**32 - 1),
     st.integers(2**32 - 2, 2**32 + 2),
-    st.integers(0, 2**64 - 1),
+    st.integers(2**64 - 2, 2**64 + 2),
+    st.integers(0, 2**96 - 1),
 )
+WORDS = st.one_of(st.integers(0, 40), st.integers(2**32 - 3, 2**32 - 1), st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(VALUES, min_size=1, max_size=8).map(tuple), min_size=1, max_size=12))
-def test_pcg64_states_match_key_rng(keys):
-    # A batch mixes key lengths and word counts, so several groups are mixed.
-    assert pcg64_states(keys) == key_rng_states(keys)
-
-
-def test_pcg64_states_of_an_empty_batch_and_a_negative_value():
-    assert pcg64_states([]) == []
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        pcg64_states([(1, -1)])
+@given(seed=SEEDS, epochs=st.integers(1, 3), m=st.integers(1, 5), draw=st.data())
+def test_local_words_match_key_rng(seed, epochs, m, draw):
+    # A block of rounds, each training m clients, against each key's key_rng.
+    rounds = draw.draw(st.lists(WORDS, min_size=1, max_size=4))
+    chosen = [draw.draw(st.lists(WORDS, min_size=m, max_size=m)) for _ in rounds]
+    keys = [(seed, LOCAL_STREAM, r, c, e)
+            for r, clients in zip(rounds, chosen) for e in range(epochs) for c in clients]
+    assert finish_states(local_words(seed, rounds, chosen, epochs)) == key_rng_states(keys)
 
 
 def reference_run(cfg, data):
     """run_federation's rounds as first written: each round selects its
-    clients, then trains them on the seeds derive(seed, LOCAL_STREAM, r, c)."""
+    clients, then trains them on the streams key_rng gives the keys
+    (seed, LOCAL_STREAM, r, c, e), epoch-major."""
     params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
     losses = []
     for r in range(cfg.rounds):
         selected = select_clients(len(data.splits), cfg.fraction, cfg.seed, r)
         splits = [data.splits[c] for c in selected]
-        seeds = [derive(cfg.seed, LOCAL_STREAM, r, c) for c in selected]
-        weights, bias, cohort = train_cohort(params, data.train, splits, cfg, seeds)
+        states = key_rng_states([derive(cfg.seed, LOCAL_STREAM, r, c, e)
+                                 for e in range(cfg.local_epochs) for c in selected])
+        weights, bias, cohort = _train_cohort(params, data.train, splits, cfg, states)
         params = aggregate(weights, bias, [s.n_samples for s in splits], cfg.weighting)
         losses.append(tuple(cohort.tolist()))
     return params, losses
@@ -103,8 +104,8 @@ def reference_run(cfg, data):
 def test_a_run_past_32_bit_seeds_shuffles_as_key_rng_does(monkeypatch):
     # Every training key at this seed starts with a two-word value.  A run
     # seeds a block of rounds' streams at once; the reference seeds each
-    # round's through train_cohort, and each stream through key_rng.  The
-    # blocks hold every round, or 2 rounds (9 keys a round) of 5.
+    # stream through key_rng.  The blocks hold every round, or 2 rounds (9
+    # keys a round) of 5.
     cfg = ExperimentConfig(
         seed=2**40 + 5, rounds=5, n_clients=6, fraction=0.5, batch_size=7, local_epochs=3,
         partition_mode="shards", shards_per_client=2,
@@ -116,7 +117,6 @@ def test_a_run_past_32_bit_seeds_shuffles_as_key_rng_does(monkeypatch):
         monkeypatch.setattr(fedsim.federation, "_BLOCK_KEYS", block_keys)
         result = run_federation(cfg, data)
         runs.append((result.final_state.global_params, [r.client_losses for r in result.history]))
-    monkeypatch.setattr(fedsim.training, "pcg64_states", key_rng_states)
     want_params, want_losses = reference_run(cfg, data)
     for params, losses in runs:
         assert losses == want_losses

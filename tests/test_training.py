@@ -15,7 +15,7 @@ from fedsim.config import ConfigError, ExperimentConfig
 from fedsim.data import ClientSplit, Dataset, generate_synthetic
 from fedsim.federation import aggregate
 from fedsim.model import ParamVector, loss_grad
-from fedsim.seeds import derive, key_rng
+from fedsim.seeds import LOCAL_STREAM, derive, key_rng
 from fedsim.training import DivergenceError, train_cohort
 from oracles import reference_loss_grad, same_params
 
@@ -25,9 +25,9 @@ def small_problem(seed=0, n=40, n_classes=3, dim=5):
     return d, ClientSplit(0, np.arange(n)), ParamVector.zeros(n_classes, dim)
 
 
-def local_train(w_g, data, split, cfg, seed):
+def local_train(w_g, data, split, cfg):
     """One client trained alone, a cohort of one: its parameters and loss."""
-    weights, bias, losses = train_cohort(w_g, data, [split], cfg, [seed])
+    weights, bias, losses = train_cohort(w_g, data, [split], cfg)
     return ParamVector(weights[0], bias[0]), float(losses[0])
 
 
@@ -80,7 +80,7 @@ def test_construction_and_replace_reject_a_bad_training_field_alike(bad):
 def test_local_update_requires_positive_samples():
     # A trained client row is only averaged with a sample count of at least one.
     d, split, w0 = small_problem(seed=2, n=8)
-    weights, bias, _ = train_cohort(w0, d, [split], ExperimentConfig(batch_size=8), [5])
+    weights, bias, _ = train_cohort(w0, d, [split], ExperimentConfig(batch_size=8, seed=5))
     with pytest.raises(ValueError, match="n_samples"):
         aggregate(weights, bias, [0], "datasize")
 
@@ -91,9 +91,9 @@ def test_proximal_penalty_closed_form():
     # w_g, and the last epoch reports CE(w1) + (mu/2) * lr^2 * ||g||^2.
     d, split, w0 = small_problem(seed=3, n=24)
     cfg = ExperimentConfig(
-        learning_rate=0.05, batch_size=24, local_epochs=2, mu=5.0, method="fedprox"
+        learning_rate=0.05, batch_size=24, local_epochs=2, mu=5.0, method="fedprox", seed=11
     )
-    _, loss = local_train(w0, d, split, cfg, 11)
+    _, loss = local_train(w0, d, split, cfg)
     _, gw, gb = loss_grad(w0.weights, w0.bias, d.features, d.labels)
     w1, b1 = w0.weights - 0.05 * gw, w0.bias - 0.05 * gb
     ce1 = float(loss_grad(w1, b1, d.features, d.labels)[0])
@@ -108,7 +108,7 @@ def test_local_objective_adds_penalty_only_for_fedprox():
 
     def run(method, mu):
         cfg = ExperimentConfig(batch_size=8, mu=mu, method=method)
-        return local_train(w0, d, split, cfg, 0)
+        return local_train(w0, d, split, cfg)
 
     plain, plain_loss = run("fedavg", 0.0)
     ignored, ignored_loss = run("fedavg", 5.0)
@@ -124,8 +124,8 @@ def test_local_train_at_tiny_learning_rate_stays_at_global_params():
     with pytest.raises(ConfigError, match="^learning_rate: must be > 0, got 0.0$"):
         ExperimentConfig(learning_rate=0.0, batch_size=8, local_epochs=3)
     assert np.abs(d.features).max() < 15
-    cfg = ExperimentConfig(learning_rate=1e-300, batch_size=8, local_epochs=3)
-    weights, bias, losses = train_cohort(w0, d, [split], cfg, [4])
+    cfg = ExperimentConfig(learning_rate=1e-300, batch_size=8, local_epochs=3, seed=4)
+    weights, bias, losses = train_cohort(w0, d, [split], cfg)
     assert (weights.shape, bias.shape, losses.shape) == ((1, 3, 5), (1, 3), (1,))
     assert np.abs(weights[0] - w0.weights).max() <= 1e-296
     assert np.abs(bias[0] - w0.bias).max() <= 1e-296
@@ -134,23 +134,25 @@ def test_local_train_at_tiny_learning_rate_stays_at_global_params():
 def test_local_train_single_batch_step_is_gradient_descent():
     # One epoch, one full batch: the update must be exactly w - lr * grad.
     d, split, w0 = small_problem(seed=3, n=24)
-    cfg = ExperimentConfig(learning_rate=0.05, batch_size=24, local_epochs=1)
-    params, got_loss = local_train(w0, d, split, cfg, 11)
-    order = key_rng(derive(11, 0)).permutation(split.indices)
+    cfg = ExperimentConfig(learning_rate=0.05, batch_size=24, local_epochs=1, seed=11)
+    params, got_loss = local_train(w0, d, split, cfg)
+    order = key_rng(derive(11, LOCAL_STREAM, 0, 0, 0)).permutation(split.indices)
     loss, gw, gb = loss_grad(w0.weights, w0.bias, d.features[order], d.labels[order])
     assert np.array_equal(params.weights, w0.weights - 0.05 * gw)
     assert np.array_equal(params.bias, w0.bias - 0.05 * gb)
     assert got_loss == float(loss)
 
 
-def sgd_reference(w_g, data, split, cfg, seed):
+def sgd_reference(w_g, data, split, cfg):
     """Reimplementation of the local loop, one client and one batch at a time,
-    on the frozen reference kernel rather than the package's."""
+    on the frozen reference kernel rather than the package's, shuffled by the
+    streams a run gives the client in round 0."""
     w = w_g.weights.copy()
     b = w_g.bias.copy()
     last = []
     for epoch in range(cfg.local_epochs):
-        order = key_rng(derive(seed, epoch)).permutation(split.indices)
+        key = derive(cfg.seed, LOCAL_STREAM, 0, split.client_id, epoch)
+        order = key_rng(key).permutation(split.indices)
         for start in range(0, order.size, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             loss, gw, gb = reference_loss_grad(w, b, data.features[sel], data.labels[sel])
@@ -170,14 +172,15 @@ def sgd_reference(w_g, data, split, cfg, seed):
 
 @pytest.mark.parametrize("method,mu", [("fedavg", 0.0), ("fedprox", 0.7)])
 def test_local_train_matches_reference_loop(method, mu):
-    d, split, _ = small_problem(seed=5, n=50, n_classes=4, dim=6)
+    d, _, _ = small_problem(seed=5, n=50, n_classes=4, dim=6)
+    split = ClientSplit(3, np.arange(50))
     rng = np.random.default_rng(9)
     w0 = ParamVector(rng.normal(size=(4, 6)) * 0.1, rng.normal(size=4) * 0.1)
     cfg = ExperimentConfig(
-        learning_rate=0.02, batch_size=16, local_epochs=3, mu=mu, method=method
+        learning_rate=0.02, batch_size=16, local_epochs=3, mu=mu, method=method, seed=21
     )
-    params, loss = local_train(w0, d, split, cfg, 21)
-    want_params, want_loss = sgd_reference(w0, d, split, cfg, 21)
+    params, loss = local_train(w0, d, split, cfg)
+    want_params, want_loss = sgd_reference(w0, d, split, cfg)
     assert same_params(params, want_params)
     assert loss == want_loss
 
@@ -186,10 +189,10 @@ def test_fedprox_mu_zero_matches_fedavg_exactly():
     d, split, w0 = small_problem(seed=6, n=64)
     for seed in [0, 1, 2]:
         avg = local_train(
-            w0, d, split, ExperimentConfig(batch_size=16, method="fedavg"), seed
+            w0, d, split, ExperimentConfig(batch_size=16, method="fedavg", seed=seed)
         )
         prox = local_train(
-            w0, d, split, ExperimentConfig(batch_size=16, method="fedprox", mu=0.0), seed
+            w0, d, split, ExperimentConfig(batch_size=16, method="fedprox", mu=0.0, seed=seed)
         )
         assert same_params(avg[0], prox[0])
         assert avg[1] == prox[1]
@@ -197,9 +200,9 @@ def test_fedprox_mu_zero_matches_fedavg_exactly():
 
 def test_fedprox_nonzero_mu_changes_the_update():
     d, split, w0 = small_problem(seed=7)
-    avg = local_train(w0, d, split, ExperimentConfig(batch_size=8, method="fedavg"), 0)
+    avg = local_train(w0, d, split, ExperimentConfig(batch_size=8, method="fedavg"))
     prox = local_train(
-        w0, d, split, ExperimentConfig(batch_size=8, method="fedprox", mu=1.0), 0
+        w0, d, split, ExperimentConfig(batch_size=8, method="fedprox", mu=1.0)
     )
     assert not same_params(avg[0], prox[0])
 
@@ -216,8 +219,7 @@ def test_final_epoch_loss_nonincreasing_with_more_epochs():
                 w0,
                 d,
                 split,
-                ExperimentConfig(batch_size=32, local_epochs=e),
-                seed,
+                ExperimentConfig(batch_size=32, local_epochs=e, seed=seed),
             )[1]
             for e in range(1, 11)
         ]
@@ -232,7 +234,7 @@ def test_proximal_term_shrinks_drift():
 
     def drift(mu):
         cfg = ExperimentConfig(batch_size=32, local_epochs=3, mu=mu, method="fedprox")
-        params, _ = local_train(w0, d, split, cfg, 0)
+        params, _ = local_train(w0, d, split, cfg)
         dw = params.weights - w0.weights
         db = params.bias - w0.bias
         return float(np.sqrt((dw * dw).sum() + (db * db).sum()))
@@ -243,15 +245,16 @@ def test_proximal_term_shrinks_drift():
 def test_local_train_validation():
     d, split, w0 = small_problem()
     with pytest.raises(ValueError, match="out of range"):
-        local_train(w0, d, ClientSplit(0, np.array([0, 40])), ExperimentConfig(), 0)
+        local_train(w0, d, ClientSplit(0, np.array([0, 40])), ExperimentConfig())
     with pytest.raises(ValueError, match="feature_dim"):
-        local_train(ParamVector.zeros(3, 6), d, split, ExperimentConfig(), 0)
+        local_train(ParamVector.zeros(3, 6), d, split, ExperimentConfig())
     with pytest.raises(ValueError, match="classes"):
-        local_train(ParamVector.zeros(2, 5), d, split, ExperimentConfig(), 0)
+        local_train(ParamVector.zeros(2, 5), d, split, ExperimentConfig())
     with pytest.raises(ValueError, match="non-empty"):
-        train_cohort(w0, d, [], ExperimentConfig(), [])
-    with pytest.raises(ValueError, match="seeds"):
-        train_cohort(w0, d, [split, split], ExperimentConfig(), [0])
+        train_cohort(w0, d, [], ExperimentConfig())
+    # A client id past 32 bits would otherwise share a shorter id's streams.
+    with pytest.raises(OverflowError):
+        local_train(w0, d, ClientSplit(2**32, split.indices), ExperimentConfig())
 
 
 METHOD_CASES = [("fedavg", 0.4), ("fedprox", 0.4), ("fedprox", 0.0)]
@@ -283,14 +286,13 @@ def test_cohort_update_is_bit_identical_to_training_alone(
         local_epochs=local_epochs,
         mu=method[1],
         method=method[0],
+        seed=7,
     )
-    weights, bias, losses = train_cohort(
-        w0, d, [splits[c] for c in cohort], cfg, [(7, c) for c in cohort]
-    )
+    weights, bias, losses = train_cohort(w0, d, [splits[c] for c in cohort], cfg)
     m = len(cohort)
     assert (weights.shape, bias.shape, losses.shape) == ((m, 3, 5), (m, 3), (m,))
     for i, c in enumerate(cohort):
-        alone, loss = local_train(w0, d, splits[c], cfg, (7, c))
+        alone, loss = local_train(w0, d, splits[c], cfg)
         assert same_params(ParamVector(weights[i], bias[i]), alone)
         assert losses[i] == loss
 
@@ -301,18 +303,17 @@ def test_cohorts_trained_in_threads_at_once_match_those_trained_in_turn():
     d = generate_synthetic(200, 3, 5, 3.0, 0)
     splits = [ClientSplit(c, np.arange(40 * c, 40 * c + 40)) for c in range(5)]
     w0 = ParamVector.zeros(3, 5)
-    cfg = ExperimentConfig(batch_size=4, local_epochs=3)
-    seeds = [[(s, c) for c in range(5)] for s in range(8)]
-    in_turn = [train_cohort(w0, d, splits, cfg, cohort)[0] for cohort in seeds]
-    at_once = [[] for _ in seeds]
-    barrier = threading.Barrier(len(seeds))
+    cfgs = [ExperimentConfig(batch_size=4, local_epochs=3, seed=s) for s in range(8)]
+    in_turn = [train_cohort(w0, d, splits, cfg)[0] for cfg in cfgs]
+    at_once = [[] for _ in cfgs]
+    barrier = threading.Barrier(len(cfgs))
 
     def train(i):
         barrier.wait()
         for _ in range(20):
-            at_once[i].append(train_cohort(w0, d, splits, cfg, seeds[i])[0])
+            at_once[i].append(train_cohort(w0, d, splits, cfgs[i])[0])
 
-    threads = [threading.Thread(target=train, args=(i,)) for i in range(len(seeds))]
+    threads = [threading.Thread(target=train, args=(i,)) for i in range(len(cfgs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -339,7 +340,7 @@ def test_divergence_names_the_first_diverging_client_and_epoch():
     calm, wild, wilder = (ClientSplit(c, np.arange(10 * c, 10 * c + 10)) for c in range(3))
     short = ClientSplit(3, np.arange(20, 25))  # one step per epoch
     cfg = ExperimentConfig(learning_rate=1e-290, batch_size=5, local_epochs=2)
-    local_train(w0, d, calm, cfg, 0)
+    local_train(w0, d, calm, cfg)
     cases = [
         ([calm, wild], "client 1, epoch 0"),
         ([wilder, calm, wild], "client 2, epoch 0"),
@@ -347,10 +348,10 @@ def test_divergence_names_the_first_diverging_client_and_epoch():
     ]
     for splits, where in cases:
         with pytest.raises(DivergenceError) as info:
-            train_cohort(w0, d, splits, cfg, list(range(len(splits))))
+            train_cohort(w0, d, splits, cfg)
         assert str(info.value) == f"{where}: local training diverged"
     # A huge step on the well-scaled rows saturates the softmax: zero loss and
     # no overflow, but weights near 1e307 whose squared norm overflows.
     saturating = replace(cfg, learning_rate=1e307)
     with pytest.raises(DivergenceError, match="^client 0, epoch 0: "):
-        train_cohort(w0, d, [calm], saturating, [0])
+        train_cohort(w0, d, [calm], saturating)
