@@ -54,7 +54,9 @@ class Dataset:
     """Feature matrix (n_samples x feature_dim) with integer labels.
 
     Labels lie in ``[0, n_classes)`` and every class is present at least once.
-    Arrays are stored as read-only float64/int64 copies.
+    The arrays are read-only float64/int64.  The constructor stores copies of
+    its caller's arrays; generate_synthetic and load_dataset hand over arrays
+    they have just made, and those are kept, frozen, without a second copy.
     """
 
     features: np.ndarray
@@ -62,16 +64,25 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self) -> None:
-        x = np.array(self.features, dtype=np.float64)
-        y = np.asarray(self.labels)
-        c = int(self.n_classes)
+        self._keep(np.array(self.features, dtype=np.float64), np.array(self.labels), self.n_classes)
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, y: np.ndarray, n_classes: int) -> Dataset:
+        # A Dataset of arrays that data.py has just made and nothing else holds.
+        d = object.__new__(cls)
+        d._keep(x, y, n_classes)
+        return d
+
+    def _keep(self, x: np.ndarray, y: np.ndarray, n_classes: int) -> None:
+        # Check x, y and n_classes, then hold x and y themselves, read-only.
+        c = int(n_classes)
         if x.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("features must be finite")
         if not np.issubdtype(y.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {y.dtype}")
-        y = y.astype(np.int64)
+        y = y.astype(np.int64, copy=False)
         if y.shape != (x.shape[0],):
             raise ValueError(
                 f"labels shape {y.shape} does not match {x.shape[0]} samples"
@@ -168,7 +179,7 @@ def generate_synthetic(
     labels = rng.permutation(np.repeat(np.arange(n_classes), counts))
     features = rng.standard_normal((n_samples, feature_dim))
     features[np.arange(n_samples), labels] += separation
-    return Dataset(features, labels, n_classes)
+    return Dataset._adopt(features, labels, n_classes)
 
 
 def synthetic_train_test(
@@ -439,9 +450,13 @@ def save_dataset(d: Dataset, path: str) -> None:
             shutil.copyfileobj(part, f)
 
 
+def _row(feature_dim: int) -> np.dtype:
+    return np.dtype([("y", np.int64), ("x", np.float64, (feature_dim,))])
+
+
 def _parse_rows(lines, feature_dim: int) -> np.ndarray:
     """Parse ``label,f1,...`` lines into a table with fields ``y`` and ``x``."""
-    row = np.dtype([("y", np.int64), ("x", np.float64, (feature_dim,))])
+    row = _row(feature_dim)
     lines = iter(lines)
     first = next((line for line in lines if line != "\n"), None)
     if first is None:  # only empty lines: no rows, and no loadtxt warning
@@ -507,11 +522,13 @@ def _line_end(fd: int, pos: int, stop: int) -> int:
     return stop
 
 
-def _parse_in_ranges(f: TextIO, feature_dim: int) -> np.ndarray | None:
-    """The rows after ``f``'s header, one byte range per usable CPU, cut after a ``b"\\n"``.
+def _parse_in_ranges(f: TextIO, feature_dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The features and labels after ``f``'s header, one byte range per usable CPU.
 
-    None leaves the rows to one pass, which names any error: for a file that is
-    not regular, a small body, one CPU, or a range that fails.
+    Ranges are cut after a ``b"\\n"``.  Each range's rows go to an unnamed part,
+    the parent's own range too, and are then copied into the two arrays.  None
+    leaves the rows to one pass, which names any error: for a file that is not
+    regular, a small body, one CPU, or a range or part that fails.
     """
     fd = f.fileno()
     size = os.fstat(fd).st_size if f.seekable() else 0  # a pipe is read in one pass
@@ -521,31 +538,34 @@ def _parse_in_ranges(f: TextIO, feature_dim: int) -> np.ndarray | None:
         return None
     cuts = [0, *(_line_end(fd, body + (size - body) * i // k - 1, size) for i in range(1, k)), size]
 
-    def rows(span) -> np.ndarray:
+    def parse(span, part) -> None:
         lines = io.TextIOWrapper(_Span(fd, *span), encoding="utf-8")
         if span[0] == 0:
             lines.readline()  # the header, checked already
-        return _parse_rows(lines, feature_dim)
+        part.write(_parse_rows(lines, feature_dim))
 
     try:
         with contextlib.ExitStack() as stack:
-            readers = [_fork_range(lambda r, part: part.write(rows(r)), span, stack)
-                       for span in zip(cuts[1:], cuts[2:])]
-            head = rows(cuts[:2])
-            for proc, _ in readers:
+            readers = [_fork_range(parse, span, stack) for span in zip(cuts[1:], cuts[2:])]
+            parts = [stack.enter_context(tempfile.TemporaryFile())]
+            parse(cuts[:2], parts[0])
+            for proc, part in readers:
                 if proc is not None:
                     proc.join()
                     if proc.exitcode:  # a bad line or byte, or the reader failed
                         return None
-            sizes = [part.seek(0, os.SEEK_END) for _, part in readers]
-            table = np.empty(len(head) + sum(sizes) // head.itemsize, head.dtype)
-            table[: len(head)] = head
-            raw, lo = table.view(np.uint8), head.nbytes
-            for (_, part), n in zip(readers, sizes):
+                parts.append(part)
+            row = _row(feature_dim)
+            buf = np.empty(max(1, (1 << 20) // row.itemsize), row)  # about 1 MiB of rows
+            n = sum(part.seek(0, os.SEEK_END) for part in parts) // row.itemsize
+            x, y, lo = np.empty((n, feature_dim)), np.empty(n, np.int64), 0
+            for part in parts:
                 part.seek(0)
-                lo += part.readinto(raw[lo : lo + n])
-            return table
-    except ValueError:  # a bad number or byte; UnicodeDecodeError is one too
+                while m := part.readinto(buf.view(np.uint8)) // row.itemsize:
+                    x[lo : lo + m], y[lo : lo + m] = buf["x"][:m], buf["y"][:m]
+                    lo += m
+            return x, y
+    except (OSError, ValueError):  # a bad number or byte, or a scratch part that failed
         return None
 
 
@@ -555,7 +575,7 @@ def load_dataset(path: str) -> Dataset:
     After the header, empty lines are skipped and every other line holds an
     integer label and ``feature_dim`` floats, comma-separated.  An error names
     the first line that breaks this.  A regular file is parsed one byte range
-    per usable CPU; the table and the errors do not depend on how many.
+    per usable CPU; the arrays and the errors do not depend on how many.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -575,10 +595,11 @@ def load_dataset(path: str) -> Dataset:
             # A first row as wide as the header says bounds feature_dim by the
             # file size before the row dtype is sized from it.
             _raise_at_first_bad_line(path, [first], feature_dim)
-            table = _parse_in_ranges(f, feature_dim)
+            arrays = _parse_in_ranges(f, feature_dim)
             try:
-                if table is None:
+                if arrays is None:
                     table = _parse_rows(itertools.chain([first[1]], f), feature_dim)
+                    arrays = table["x"].copy(), table["y"].copy()
             except UnicodeDecodeError:
                 raise
             except ValueError as exc:
@@ -591,7 +612,7 @@ def load_dataset(path: str) -> Dataset:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {_decode_error(exc, f)}") from None
     try:
-        return Dataset(table["x"], table["y"], n_classes)
+        return Dataset._adopt(*arrays, n_classes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -109,7 +109,7 @@ def aggregate(
     # 2+ entries (else pairwise); initial=-0.0 keeps an all -0.0 column at -0.0.
     flat = weights.reshape(len(weights), -1)
     rows = np.concatenate([flat, bias.reshape(len(bias), -1)], axis=1)
-    mean = (coeffs[:, None] * rows).sum(axis=0, initial=-0.0)
+    mean = np.add.reduce(coeffs[:, None] * rows, axis=0, initial=-0.0)
     return ParamVector(mean[: flat.shape[1]].reshape(weights.shape[1:]), mean[flat.shape[1] :])
 
 

@@ -88,9 +88,10 @@ def loss_grad(
     not checked: callers pass labels in ``[0, C)`` and matching ``d``.
 
     From 2 to 7 classes the class-axis max and sum go one column at a time,
-    which skips an ndarray reduction's per-row cost.  numpy's add-reduce sums
-    fewer than 8 items in order, so the column sum keeps its bits; from 8
-    classes on it sums pairwise, and both stay ndarray reductions.
+    which skips a reduction's per-row cost.  numpy's add-reduce sums fewer
+    than 8 items in order, so the column sum keeps its bits; from 8 classes
+    on it sums pairwise, and both stay whole-axis reductions.  Sums call
+    ``np.add.reduce``, skipping ``ndarray.sum``'s Python-level wrapper.
     """
     z = x @ weights.swapaxes(-1, -2)
     z += bias[..., None, :]
@@ -98,15 +99,15 @@ def loss_grad(
     fold = 2 <= n_classes < 8
     z -= (_fold(np.maximum, z) if fold else z.max(axis=-1))[..., None]
     ez = np.exp(z)
-    denom = _fold(np.add, ez) if fold else ez.sum(axis=-1)
+    denom = _fold(np.add, ez) if fold else np.add.reduce(ez, axis=-1)
     at = _label_base(y.shape, n_classes) + y  # each label's flat index, shaped as y
     loss = None
     if with_loss:
-        loss = -(z.reshape(-1)[at] - np.log(denom)).sum(axis=-1) / n
+        loss = -np.add.reduce(z.reshape(-1)[at] - np.log(denom), axis=-1) / n
     ez /= denom[..., None]  # the softmax, then minus the one-hot labels
     ez.reshape(-1)[at] -= 1.0
     gw = ez.swapaxes(-1, -2) @ x
     gw /= n
-    gb = ez.sum(axis=-2)
+    gb = np.add.reduce(ez, axis=-2)
     gb /= n
     return loss, gw, gb

@@ -148,8 +148,8 @@ def _train_cohort(
                             gb += cfg.mu * db
                             if record:
                                 loss += 0.5 * cfg.mu * (
-                                    (dw * dw).reshape(hi - lo, -1).sum(axis=1)
-                                    + (db * db).sum(axis=1)
+                                    np.add.reduce((dw * dw).reshape(hi - lo, -1), axis=1)
+                                    + np.add.reduce(db * db, axis=1)
                                 )
                         if record:
                             losses[lo:hi, step] = loss
@@ -160,7 +160,7 @@ def _train_cohort(
                 # squared update norm is computed only for the overflow it
                 # raises then.
                 dw, db = w - w_g.weights, b - w_g.bias
-                (dw * dw).reshape(m, -1).sum(axis=1) + (db * db).sum(axis=1)
+                np.add.reduce((dw * dw).reshape(m, -1), axis=1) + np.add.reduce(db * db, axis=1)
     except FloatingPointError:
         if m > 1:  # name the first client that diverges alone, on its own streams
             for i, split in enumerate(splits):
@@ -171,7 +171,7 @@ def _train_cohort(
     means, lo = [], 0  # one row sum per run of clients with equal step counts
     for steps, run in groupby(-(-n // bs) for n in sizes):
         hi = lo + len(list(run))
-        means.append(losses[lo:hi, :steps].sum(axis=1) / steps)
+        means.append(np.add.reduce(losses[lo:hi, :steps], axis=1) / steps)
         lo = hi
     back = np.argsort(rank)  # ranked rows back to the order of splits
     return w[back], b[back], np.concatenate(means)[back]

@@ -1,9 +1,9 @@
 """The package's exported names and a run config's fields, pinned so the
 API changes only on purpose, the names the benchmark harness binds, the one
 module that writes files, the one that checks configs, the modules that read
-a suite's sweep, the one that keys local training's streams, the one
-function that starts processes, and the config module's independence from
-the rest of the package."""
+a suite's sweep, the one that keys local training's streams, the one that
+hands a Dataset its arrays uncopied, the one function that starts processes,
+and the config module's independence from the rest of the package."""
 
 import ast
 import dataclasses
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import fedsim
 from fedsim.config import ExperimentConfig
+from fedsim.data import load_dataset, save_dataset
 from fedsim.federation import FederationResult, ServerState, run_federation
 
 EXPORTS = [
@@ -107,6 +108,10 @@ def test_the_names_the_benchmark_binds_exist():
     assert missing == []
     # The harness binds run_federation's arguments by name and wraps progress.
     assert list(inspect.signature(run_federation).parameters) == ["cfg", "data", "progress"]
+    # Its byte counter binds load_dataset's file by the name "path", and its
+    # large_file workload calls save_dataset(d, path).
+    assert list(inspect.signature(load_dataset).parameters) == ["path"]
+    assert list(inspect.signature(save_dataset).parameters) == ["d", "path"]
     # It checks each run's final parameters through result.final_state.global_params.
     assert typing.get_type_hints(FederationResult)["final_state"] is ServerState
     assert "global_params" in {f.name for f in dataclasses.fields(ServerState)}
@@ -221,6 +226,14 @@ def test_only_the_seeds_module_names_the_training_stream():
     # a cohort and the pooled baseline cannot key a client's streams apart.
     found = lines_naming({"LOCAL_STREAM"})
     assert found.pop("seeds.py"), "the guard no longer sees the stream it guards"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_data_module_hands_a_dataset_its_arrays():
+    # Dataset._adopt keeps its arrays uncopied, so only the module that has just
+    # made them may call it; every other caller gets the constructor's copies.
+    found = lines_naming({"_adopt"})
+    assert found.pop("data.py"), "the guard no longer sees the path it guards"
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -3,11 +3,13 @@
 Patching data._BYTES_PER_READER runs the reader path on files of a few lines.
 """
 
+import errno
 import multiprocessing
 import multiprocessing.context
 import os
 import tempfile
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,6 +86,25 @@ def test_a_body_just_over_the_floor_gets_a_reader(tmp_path, cpus, forked):
     assert len(forked) == 1
 
 
+def test_the_range_path_holds_the_rows_about_once(tmp_path, cpus, forked):
+    # Each range goes to a scratch part, then into the kept arrays; a table
+    # held beside its copy would peak at about 2.2x the feature bytes.
+    d = generate_synthetic(10_000, 4, 64, 2.0, 9)
+    path = tmp_path / "data.csv"
+    cpus(1)
+    save_dataset(d, path)
+    cpus(2, floor=16)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forked) == 1
+    assert_same(loaded, d)
+    assert peak <= 1.4 * loaded.features.nbytes
+
+
 PAD = 200  # good rows put before the bad line, so that it falls in the last range
 
 
@@ -154,6 +175,20 @@ def test_a_reader_that_cannot_start_is_parsed_in_process(tmp_path, cpus, forked,
         monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
     assert_same(load_at(path, cpus, 3), want)
     assert forked == [None, None]
+
+
+def test_a_scratch_part_that_cannot_be_made_falls_back_to_one_pass(tmp_path, cpus, forked,
+                                                                    monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text(TEXTS["synthetic"], encoding="utf-8")
+    want = load_at(path, cpus, 1)
+
+    def full(**part):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full)
+    assert_same(load_at(path, cpus, 3), want)
+    assert forked == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
