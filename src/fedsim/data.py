@@ -78,7 +78,8 @@ class Dataset:
         c = int(n_classes)
         if x.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {x.shape}")
-        if not np.isfinite(x).all():
+        rows = max(1, (1 << 20) // max(1, x[:1].nbytes))  # about 1 MiB of features at a time
+        if not all(np.isfinite(x[i : i + rows]).all() for i in range(0, len(x), rows)):
             raise ValueError("features must be finite")
         if not np.issubdtype(y.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {y.dtype}")

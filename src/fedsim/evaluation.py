@@ -23,7 +23,12 @@ __all__ = [
 def accuracy(params: ParamVector, test: Dataset) -> float:
     """Fraction of samples whose highest logit matches the label.
 
-    Ties go to the lowest class index (argmax convention).
+    Ties go to the lowest class index, and a NaN logit beats any number
+    (``argmax``'s rules).  The logits are taken class-major, ``(C, n)``, so
+    the bias and the max over classes run along contiguous rows.  A sample
+    counts when its label's logit is the one logit equal to its column's max;
+    only the columns where two classes share the max, or the max is NaN
+    (which no logit equals), go to ``argmax``.
     """
     if test.feature_dim != params.feature_dim:
         raise ValueError(
@@ -35,10 +40,16 @@ def accuracy(params: ParamVector, test: Dataset) -> float:
             f"dataset has {test.n_classes} classes but parameters cover "
             f"{params.n_classes}"
         )
-    logits = test.features @ params.weights.T
-    logits += params.bias
-    preds = logits.argmax(axis=1)
-    return float((preds == test.labels).mean())
+    z = params.weights @ test.features.T
+    z += params.bias[:, None]
+    n = test.n_samples
+    at_max = z == np.maximum.reduce(z, axis=0)
+    hit = at_max.reshape(-1).take(test.labels * n + np.arange(n))
+    # Counted in the narrowest type that holds n_classes, as a wider one costs more.
+    counts = np.add.reduce(at_max, axis=0, dtype=np.min_scalar_type(params.n_classes))
+    odd = np.flatnonzero(counts != 1)
+    hit[odd] = z[:, odd].argmax(axis=0) == test.labels[odd]
+    return np.count_nonzero(hit) / n
 
 
 def centralized_train(train: Dataset, cfg: ExperimentConfig, epochs: int) -> ParamVector:

@@ -22,7 +22,7 @@ from .evaluation import accuracy
 from .model import ParamVector
 from .seeds import (DATA_STREAM, PARTITION_STREAM, SELECTION_STREAM, SeedKey, derive,
                     finish_states, key_rng, local_words)
-from .training import DivergenceError, _train_cohort
+from .training import DivergenceError, _check_cohort, _train_cohort
 
 __all__ = [
     "ExperimentData",
@@ -231,11 +231,13 @@ def run_federation(
     the round, the client and the epoch.  Deterministic given the config:
     datasets, partition, per-round selection, and per-client shuffles all
     derive from ``cfg.seed``.  Pass ``data`` to reuse an already prepared
-    ExperimentData for the same config.
+    ExperimentData for the same config; every split in it is checked against
+    the train set before round 0, selected or not.
     """
     if data is None:
         data = prepare_experiment(cfg)
     params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
+    _check_cohort(params, data.train, data.splits)
     history: list[RoundReport] = []
     for r, selected, states in _round_streams(cfg, len(data.splits)):
         splits = [data.splits[c] for c in selected]

@@ -87,19 +87,20 @@ def loss_grad(
     alone, so its results are bit-identical to an unstacked call.  Inputs are
     not checked: callers pass labels in ``[0, C)`` and matching ``d``.
 
-    From 2 to 7 classes the class-axis max and sum go one column at a time,
-    which skips a reduction's per-row cost.  numpy's add-reduce sums fewer
-    than 8 items in order, so the column sum keeps its bits; from 8 classes
-    on it sums pairwise, and both stay whole-axis reductions.  Sums call
-    ``np.add.reduce``, skipping ``ndarray.sum``'s Python-level wrapper.
+    From 2 classes on the class-axis max goes one column at a time, which
+    skips a reduction's per-row cost; a max is exact in any order.  The
+    class-axis sum folds the same way only from 2 to 7 classes: numpy's
+    add-reduce sums fewer than 8 items in order, so the column sum keeps its
+    bits, but from 8 classes on it sums pairwise, so the sum stays a
+    whole-axis reduction.  Sums call ``np.add.reduce``, skipping
+    ``ndarray.sum``'s Python-level wrapper.
     """
     z = x @ weights.swapaxes(-1, -2)
     z += bias[..., None, :]
     n_classes, n = z.shape[-1], x.shape[-2]
-    fold = 2 <= n_classes < 8
-    z -= (_fold(np.maximum, z) if fold else z.max(axis=-1))[..., None]
+    z -= (_fold(np.maximum, z) if n_classes > 1 else z.max(axis=-1))[..., None]
     ez = np.exp(z)
-    denom = _fold(np.add, ez) if fold else np.add.reduce(ez, axis=-1)
+    denom = _fold(np.add, ez) if 2 <= n_classes < 8 else np.add.reduce(ez, axis=-1)
     at = _label_base(y.shape, n_classes) + y  # each label's flat index, shaped as y
     loss = None
     if with_loss:

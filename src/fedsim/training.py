@@ -94,6 +94,7 @@ def train_cohort(
     epoch, raises DivergenceError naming the first client, in the given
     order, whose training diverges on its own.
     """
+    _check_cohort(w_g, data, splits)
     ids = [split.client_id for split in splits]
     return _train_cohort(w_g, data, splits, cfg,
                          finish_states(local_words(cfg.seed, [0], [ids], cfg.local_epochs)))
@@ -104,8 +105,8 @@ def _train_cohort(
     cfg: ExperimentConfig, states: Sequence[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # train_cohort, given the PCG64 (state, inc) of each client's stream in
-    # each epoch: states[e * m + i] shuffles splits[i] in epoch e.
-    _check_cohort(w_g, data, splits)
+    # each epoch: states[e * m + i] shuffles splits[i] in epoch e.  The caller
+    # has checked the cohort with _check_cohort.
     # Largest clients first, so that each step's groups are slices.
     rank = sorted(range(len(splits)), key=lambda i: -splits[i].n_samples)
     sizes = tuple(splits[i].n_samples for i in rank)

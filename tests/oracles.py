@@ -3,8 +3,9 @@
 Everything here recomputes its target quantity with plain Python loops over
 scalars (or finite differences of the loss), never through the package's
 vectorized paths, so agreement between the two is meaningful evidence.
-The one exception is ``reference_loss_grad``, a frozen copy of the kernel
-written with ndarray reductions, which the kernel must match bit for bit.
+The exceptions are ``reference_loss_grad``, a frozen copy of the kernel
+written with ndarray reductions, which the kernel must match bit for bit, and
+``reference_accuracy``, the row-major argmax that evaluation.accuracy replaced.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def reference_loss_grad(weights, bias, x, y, with_loss=True):
     gw = probs.swapaxes(-1, -2) @ x / n
     gb = probs.sum(axis=-2) / n
     return loss, gw, gb
+
+
+def reference_accuracy(params: ParamVector, test) -> float:
+    """evaluation.accuracy as first written: row-major logits, argmax per row."""
+    logits = test.features @ params.weights.T
+    logits += params.bias
+    return float((logits.argmax(axis=1) == test.labels).mean())
 
 
 def scalar_logits(params: ParamVector, x_row: np.ndarray) -> list[float]:

@@ -44,6 +44,16 @@ def test_dataset_validation():
         Dataset(x, np.array([0, 0, 0]), 2)
 
 
+@pytest.mark.parametrize("row", [0, -1], ids=["first-block", "last-block"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_feature_in_any_row_block_is_rejected(row, value):
+    # The check runs about 1 MiB of rows at a time: 2,048 rows of 64 floats.
+    x = np.zeros((2 * 2048 + 5, 64))
+    x[row, 7] = value
+    with pytest.raises(ValueError, match="^features must be finite$"):
+        Dataset(x, np.zeros(len(x), dtype=np.int64), 1)
+
+
 def test_a_class_count_above_the_sample_count_is_rejected_without_allocating():
     # An array sized by n_classes here would need 8 PB.
     with pytest.raises(ValueError, match="^class 2 has no samples$"):

@@ -105,6 +105,26 @@ def test_the_range_path_holds_the_rows_about_once(tmp_path, cpus, forked):
     assert peak <= 1.4 * loaded.features.nbytes
 
 
+def test_the_finiteness_check_holds_no_mask_of_the_rows(tmp_path, cpus, forked):
+    # A mask of every feature would add an eighth of the feature bytes to the
+    # peak (1.13x here).  Checked a block at a time, what stays above the
+    # features is the labels (1/512) and the ~1 MiB copy buffer (0.03).
+    n, d = 8000, 512
+    path = tmp_path / "wide.csv"
+    row = "," + ",".join(["1.5"] * d) + "\n"
+    path.write_text(f"{d},4\n" + "".join(f"{i % 4}{row}" for i in range(n)))
+    cpus(2, floor=16)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forked) == 1
+    assert loaded.features.shape == (n, d) and (loaded.features == 1.5).all()
+    assert peak <= 1.05 * loaded.features.nbytes
+
+
 PAD = 200  # good rows put before the bad line, so that it falls in the last range
 
 

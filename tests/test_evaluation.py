@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.config import ExperimentConfig, SyntheticData
 from fedsim.data import ClientSplit, Dataset, generate_synthetic, synthetic_train_test
@@ -16,7 +18,7 @@ from fedsim.evaluation import (
 from fedsim.federation import run_federation
 from fedsim.model import ParamVector
 from fedsim.training import train_cohort
-from oracles import same_params
+from oracles import reference_accuracy, same_params
 
 
 def test_accuracy_counts_argmax_matches():
@@ -33,6 +35,37 @@ def test_accuracy_ties_go_to_lowest_class_index():
     params = ParamVector.zeros(3, 2)  # every logit 0 -> always predicts class 0
     data = Dataset(np.zeros((4, 2)), np.array([0, 0, 1, 2]), 3)
     assert accuracy(params, data) == 0.5
+
+
+HUGE = 2.0**996  # about 6.7e299: a product of two overflows, a sum of a few does not
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_classes=st.integers(1, 12), d=st.integers(1, 5), extra=st.integers(0, 30),
+       kind=st.sampled_from(["normal", "integer", "huge"]), dup=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_accuracy_matches_the_row_major_argmax(n_classes, d, extra, kind, dup, seed):
+    rng = np.random.default_rng(seed)
+    n = n_classes + extra
+    if kind == "normal":
+        w, b = rng.normal(size=(n_classes, d)), rng.normal(size=n_classes)
+        x = rng.normal(size=(n, d))
+    else:
+        # Small integers times a power of two.  At scale 1 every logit is
+        # exact, so classes tie exactly; a "huge" row's products overflow, and
+        # its logits are +-inf, or NaN where the matmul adds inf to -inf.
+        scale = HUGE if kind == "huge" else 1.0
+        w = rng.integers(-2, 3, (n_classes, d)) * scale
+        b = rng.integers(-2, 3, n_classes) * scale
+        x = rng.integers(-2, 3, (n, d)) * rng.choice([1.0, scale], (n, 1))
+    if dup:  # some classes copy another's row, so their logits tie
+        copy = rng.random(n_classes) < 0.5
+        src = rng.integers(0, n_classes, n_classes)[copy]
+        w[copy], b[copy] = w[src], b[src]
+    params = ParamVector(w, b)
+    test = Dataset(x, rng.permutation(np.arange(n) % n_classes), n_classes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert accuracy(params, test) == reference_accuracy(params, test)
 
 
 def test_accuracy_shape_errors():

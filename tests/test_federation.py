@@ -8,7 +8,7 @@ import pytest
 import fedsim.federation
 import fedsim.seeds
 from fedsim.config import ExperimentConfig, FileData, Sweep, SyntheticData
-from fedsim.data import save_dataset, synthetic_train_test
+from fedsim.data import ClientSplit, save_dataset, synthetic_train_test
 from fedsim.evaluation import accuracy
 from fedsim.federation import (
     aggregate,
@@ -248,6 +248,20 @@ def test_run_federation_accepts_prepared_data():
     implicit = run_federation(cfg)
     explicit = run_federation(cfg, data)
     assert implicit.history == explicit.history
+
+
+def test_a_split_out_of_range_fails_the_run_before_round_0_even_if_never_selected():
+    cfg = tiny_config(rounds=1)
+    data = prepare_experiment(cfg)
+    chosen = select_clients(cfg.n_clients, cfg.fraction, cfg.seed, 0)
+    idle = min(set(range(cfg.n_clients)) - set(chosen))
+    n = data.train.n_samples
+    splits = list(data.splits)
+    splits[idle] = ClientSplit(idle, np.array([0, n]))
+    seen = []
+    with pytest.raises(ValueError, match=f"^client {idle}: index {n} out of range for {n} samples$"):
+        run_federation(cfg, replace(data, splits=tuple(splits)), progress=seen.append)
+    assert seen == []
 
 
 def test_run_federation_progress_callback():

@@ -144,8 +144,9 @@ def test_loss_and_grad_consistent_with_parts():
 
 @pytest.mark.parametrize("n_classes", range(1, 13))
 def test_kernel_matches_the_reduction_reference_bit_for_bit(n_classes):
-    # Below 8 classes the kernel folds the class axis column by column, from
-    # 8 on it reduces it; either way every bit must match the reference.
+    # From 2 classes on the kernel folds the class-axis max column by column.
+    # It folds the sum the same way below 8 classes and reduces it from 8 on;
+    # either way every bit must match the reference.
     # Logits span a wide range, so a sum taken in another order would differ.
     rng = np.random.default_rng(100 + n_classes)
     d = 5
