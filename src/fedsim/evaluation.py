@@ -49,7 +49,7 @@ def accuracy(params: ParamVector, test: Dataset) -> float:
     counts = np.add.reduce(at_max, axis=0, dtype=np.min_scalar_type(params.n_classes))
     odd = np.flatnonzero(counts != 1)
     hit[odd] = z[:, odd].argmax(axis=0) == test.labels[odd]
-    return np.count_nonzero(hit) / n
+    return int(np.count_nonzero(hit)) / n
 
 
 def centralized_train(train: Dataset, cfg: ExperimentConfig, epochs: int) -> ParamVector:
