@@ -117,7 +117,8 @@ class ClientSplit:
 
     Indices are stored sorted and must be unique and non-negative.  Splits
     produced by one partition call are pairwise disjoint and together cover
-    the parent dataset.
+    the parent dataset; the partitions build them so and skip the checks,
+    while ``ClientSplit(...)`` checks a sorted read-only copy of its indices.
     """
 
     client_id: int
@@ -141,6 +142,14 @@ class ClientSplit:
             raise ValueError(f"client {cid}: indices must be unique")
         object.__setattr__(self, "client_id", cid)
         object.__setattr__(self, "indices", _readonly(idx))
+
+    @classmethod
+    def _adopt(cls, client_id: int, indices: np.ndarray) -> ClientSplit:
+        # Sorted, unique, non-negative int64 indices that data.py has just made.
+        s = object.__new__(cls)
+        object.__setattr__(s, "client_id", client_id)
+        object.__setattr__(s, "indices", _readonly(indices))
+        return s
 
     @property
     def n_samples(self) -> int:
@@ -213,6 +222,20 @@ def synthetic_train_test(
     return train, test
 
 
+def _split_sizes(n: int, k: int) -> list[int]:
+    # np.array_split's part sizes: the first n % k parts hold one more.
+    return [n // k + (i < n % k) for i in range(k)]
+
+
+def _sorted_runs(a: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    # The runs of a permutation ``a`` of range(len(a)), each sorted, as views of
+    # one read-only array: run j is raised by j * len(a), so one sort orders all.
+    offset = np.repeat(np.arange(len(sizes)) * len(a), sizes)
+    key = _readonly(np.sort(a + offset) - offset)
+    cuts = [0, *itertools.accumulate(sizes)]
+    return [key[lo:hi] for lo, hi in itertools.pairwise(cuts)]
+
+
 def partition_iid(d: Dataset, n_clients: int, seed: SeedKey) -> list[ClientSplit]:
     """Random near-equal split: sizes differ by at most one.
 
@@ -226,9 +249,8 @@ def partition_iid(d: Dataset, n_clients: int, seed: SeedKey) -> list[ClientSplit
             f"cannot split {d.n_samples} samples across {n_clients} clients"
         )
     perm = key_rng(seed).permutation(d.n_samples)
-    return [
-        ClientSplit(i, chunk) for i, chunk in enumerate(np.array_split(perm, n_clients))
-    ]
+    chunks = _sorted_runs(perm, _split_sizes(d.n_samples, n_clients))
+    return [ClientSplit._adopt(i, idx) for i, idx in enumerate(chunks)]
 
 
 def allocate_shards(class_counts: np.ndarray, total_shards: int) -> np.ndarray:
@@ -307,23 +329,17 @@ def partition_shards_detailed(
                 f"{int(counts[c])} samples"
             )
     rng = key_rng(seed)
-    shard_indices: list[np.ndarray] = []
-    shard_labels: list[int] = []
-    for c in range(d.n_classes):
-        class_idx = rng.permutation(np.flatnonzero(d.labels == c))
-        for part in np.array_split(class_idx, alloc[c]):
-            shard_indices.append(np.sort(part))
-            shard_labels.append(c)
-    assignment = rng.permutation(total).reshape(n_clients, shards_per_client)
-    splits = tuple(
-        ClientSplit(i, np.concatenate([shard_indices[s] for s in assignment[i]]))
-        for i in range(n_clients)
-    )
+    classes = [rng.permutation(np.flatnonzero(d.labels == c)) for c in range(d.n_classes)]
+    sizes = [m for n, k in zip(counts.tolist(), alloc.tolist()) for m in _split_sizes(n, k)]
+    shard_indices = _sorted_runs(np.concatenate(classes), sizes)
+    assignment = rng.permutation(total).reshape(n_clients, shards_per_client).tolist()
+    dealt = np.concatenate([shard_indices[s] for row in assignment for s in row])
+    splits = _sorted_runs(dealt, [sum(sizes[s] for s in row) for row in assignment])
     return ShardPartition(
-        splits=splits,
-        shard_labels=tuple(shard_labels),
-        shard_indices=tuple(_readonly(s) for s in shard_indices),
-        assignment=tuple(tuple(int(s) for s in row) for row in assignment),
+        splits=tuple(ClientSplit._adopt(i, idx) for i, idx in enumerate(splits)),
+        shard_labels=tuple(np.repeat(np.arange(d.n_classes), alloc).tolist()),
+        shard_indices=tuple(shard_indices),
+        assignment=tuple(map(tuple, assignment)),
     )
 
 

@@ -74,7 +74,7 @@ def select_clients(
         raise ValueError(f"fraction {fraction} of {n_clients} clients rounds to zero")
     rng = key_rng(derive(seed, SELECTION_STREAM, round_index))
     chosen = rng.choice(n_clients, size=m, replace=False)
-    return sorted(int(c) for c in chosen)
+    return sorted(chosen.tolist())
 
 
 def aggregate(
@@ -184,17 +184,20 @@ def prepare_suite(
     Returns (method token, partition token, [(run config, data), ...]) per
     cell, in ``suite_cells`` order, with one run per seed of the sweep.
     Cells differ only in method and partition, so each seed's datasets are
-    built once and shared by its runs; a file() dataset is read once for the
-    whole suite.
+    built once, each (seed, partition) is prepared once for all its methods,
+    and a file() dataset is read once for the whole suite.
     """
     built: dict[int | None, tuple[Dataset, Dataset]] = {}
+    prepared: dict[tuple[int, str, int], ExperimentData] = {}
 
     def prepare(cell: ExperimentConfig, seed: int):
         rcfg = replace(cell, seed=int(seed))
-        key = rcfg.seed if isinstance(cfg.dataset, SyntheticData) else None
-        data = prepare_experiment(rcfg, built.get(key))
-        built[key] = (data.train, data.test)
-        return rcfg, data
+        part = (rcfg.seed, rcfg.partition_mode, rcfg.shards_per_client)
+        if part not in prepared:
+            key = rcfg.seed if isinstance(cfg.dataset, SyntheticData) else None
+            prepared[part] = data = prepare_experiment(rcfg, built.get(key))
+            built[key] = (data.train, data.test)
+        return rcfg, prepared[part]
 
     return [(mt, pt, [prepare(cell, s) for s in sweep.seeds])
             for mt, pt, cell in suite_cells(cfg, sweep)]

@@ -5,7 +5,9 @@ scalars (or finite differences of the loss), never through the package's
 vectorized paths, so agreement between the two is meaningful evidence.
 The exceptions are ``reference_loss_grad``, a frozen copy of the kernel
 written with ndarray reductions, which the kernel must match bit for bit, and
-``reference_accuracy``, the row-major argmax that evaluation.accuracy replaced.
+``reference_accuracy``, the row-major argmax that evaluation.accuracy replaced,
+and ``reference_partition_iid`` and ``reference_partition_shards_detailed``,
+the partitions as first written, one checked ClientSplit per client.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import math
 
 import numpy as np
 
+from fedsim.data import ClientSplit, ShardPartition, allocate_shards
 from fedsim.model import ParamVector, loss_grad
+from fedsim.seeds import key_rng
 
 
 def rand_params(rng: np.random.Generator, n_classes: int, feature_dim: int) -> ParamVector:
@@ -76,6 +80,65 @@ def reference_accuracy(params: ParamVector, test) -> float:
     logits = test.features @ params.weights.T
     logits += params.bias
     return float((logits.argmax(axis=1) == test.labels).mean())
+
+
+def reference_partition_iid(d, n_clients: int, seed) -> list[ClientSplit]:
+    """data.partition_iid as first written: np.array_split, then the public constructor."""
+    if n_clients < 1:
+        raise ValueError(f"n_clients must be >= 1, got {n_clients}")
+    if n_clients > d.n_samples:
+        raise ValueError(
+            f"cannot split {d.n_samples} samples across {n_clients} clients"
+        )
+    perm = key_rng(seed).permutation(d.n_samples)
+    return [
+        ClientSplit(i, chunk) for i, chunk in enumerate(np.array_split(perm, n_clients))
+    ]
+
+
+def reference_partition_shards_detailed(
+    d, n_clients: int, shards_per_client: int, seed
+) -> ShardPartition:
+    """data.partition_shards_detailed as first written: np.array_split per class,
+    one public ClientSplit per client, and the assignment converted entry by entry."""
+    if n_clients < 1:
+        raise ValueError(f"n_clients must be >= 1, got {n_clients}")
+    if shards_per_client < 1:
+        raise ValueError(f"shards_per_client must be >= 1, got {shards_per_client}")
+    total = n_clients * shards_per_client
+    if total > d.n_samples:
+        raise ValueError(
+            f"{total} shards cannot be built from {d.n_samples} samples"
+        )
+    counts = np.bincount(d.labels, minlength=d.n_classes)
+    alloc = allocate_shards(counts, total)
+    for c in range(d.n_classes):
+        if alloc[c] > counts[c]:
+            raise ValueError(
+                f"class {c}: {int(alloc[c])} shards but only "
+                f"{int(counts[c])} samples"
+            )
+    rng = key_rng(seed)
+    shard_indices: list[np.ndarray] = []
+    shard_labels: list[int] = []
+    for c in range(d.n_classes):
+        class_idx = rng.permutation(np.flatnonzero(d.labels == c))
+        for part in np.array_split(class_idx, alloc[c]):
+            shard_indices.append(np.sort(part))
+            shard_labels.append(c)
+    assignment = rng.permutation(total).reshape(n_clients, shards_per_client)
+    splits = tuple(
+        ClientSplit(i, np.concatenate([shard_indices[s] for s in assignment[i]]))
+        for i in range(n_clients)
+    )
+    for s in shard_indices:
+        s.setflags(write=False)
+    return ShardPartition(
+        splits=splits,
+        shard_labels=tuple(shard_labels),
+        shard_indices=tuple(shard_indices),
+        assignment=tuple(tuple(int(s) for s in row) for row in assignment),
+    )
 
 
 def scalar_logits(params: ParamVector, x_row: np.ndarray) -> list[float]:

@@ -237,6 +237,21 @@ def test_only_the_data_module_hands_a_dataset_its_arrays():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_only_the_data_module_hands_a_split_its_indices():
+    # ClientSplit._adopt keeps its indices unchecked and uncopied, so only the
+    # partitions, which have just built them sorted and unique, may call it.
+    found = {}
+    for path in sorted(Path(fedsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.name] = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_adopt"
+            and isinstance(node.value, ast.Name) and node.value.id == "ClientSplit"
+        ]
+    assert found.pop("data.py"), "the guard no longer sees the path it guards"
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_only_the_suite_path_names_the_sweep():
     # A run reads its config alone; the sweep is the suite's, so only the
     # config module and the suite's two callers may name it.

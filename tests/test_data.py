@@ -25,7 +25,8 @@ from fedsim.data import (
     save_partition,
     synthetic_train_test,
 )
-from oracles import audit_shard_partition, dataset_text
+from oracles import (audit_shard_partition, dataset_text, reference_partition_iid,
+                     reference_partition_shards_detailed)
 
 
 def test_dataset_validation():
@@ -255,6 +256,58 @@ def test_partition_shards_errors():
     d3 = generate_synthetic(30, 3, 4, 3.0, 1)
     with pytest.raises(ValueError, match="at least one shard per class"):
         partition_shards(d3, 2, 1, 0)
+
+
+def outcome(partition, *args):
+    """What a partition call gives: its result, or its ValueError's message."""
+    try:
+        return partition(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert not g.flags.writeable and not w.flags.writeable
+        assert np.array_equal(g, w)
+
+
+def assert_same_splits(got, want):
+    assert [type(s.client_id) for s in got] == [int] * len(got)
+    assert [s.client_id for s in got] == [s.client_id for s in want]
+    assert_same_arrays([s.indices for s in got], [s.indices for s in want])
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       clients=st.floats(0.0, 1.0), shards_per_client=st.integers(1, 4),
+       seed=st.integers(0, 2**64 - 1))
+def test_partitions_match_the_per_client_reference_bit_for_bit(
+    counts, clients, shards_per_client, seed
+):
+    # Uneven classes; 1 to n + 1 clients, so infeasible partitions raise too.
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)), counts))
+    d = Dataset(np.zeros((labels.size, 1)), labels, len(counts))
+    n_clients = 1 + round(clients * d.n_samples)
+    got = outcome(partition_iid, d, n_clients, seed)
+    want = outcome(reference_partition_iid, d, n_clients, seed)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_splits(got, want)
+    got = outcome(partition_shards_detailed, d, n_clients, shards_per_client, seed)
+    want = outcome(reference_partition_shards_detailed, d, n_clients, shards_per_client, seed)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert_same_splits(got.splits, want.splits)
+    assert got.shard_labels == want.shard_labels
+    assert [type(c) for c in got.shard_labels] == [int] * len(got.shard_labels)
+    assert_same_arrays(got.shard_indices, want.shard_indices)
+    assert got.assignment == want.assignment
+    assert {type(s) for row in got.assignment for s in row} == {int}
 
 
 def test_label_distribution_counts():

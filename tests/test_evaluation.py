@@ -68,6 +68,24 @@ def test_accuracy_matches_the_row_major_argmax(n_classes, d, extra, kind, dup, s
         assert accuracy(params, test) == reference_accuracy(params, test)
 
 
+@pytest.mark.parametrize("n", [193, 250, 601])
+@pytest.mark.parametrize("n_classes", [12, 16])
+@pytest.mark.parametrize("kind", ["normal", "integer"])
+def test_accuracy_matches_the_row_major_argmax_past_192_samples(n_classes, n, kind):
+    # From 12 classes on, with more than 192 samples and n not a multiple of 8,
+    # the class-major product may differ from the row-major one in its last
+    # bits; the predictions must not.  Integer data ties classes exactly.
+    rng = np.random.default_rng(1000 * n_classes + n)
+    if kind == "normal":
+        w, b, x = rng.normal(size=(n_classes, 16)), rng.normal(size=n_classes), rng.normal(size=(n, 16))
+    else:
+        w, b = rng.integers(-2, 3, (n_classes, 16)) * 1.0, rng.integers(-2, 3, n_classes) * 1.0
+        x = rng.integers(-2, 3, (n, 16)) * 1.0
+    params = ParamVector(w, b)
+    test = Dataset(x, rng.permutation(np.arange(n) % n_classes), n_classes)
+    assert accuracy(params, test) == reference_accuracy(params, test)
+
+
 def test_accuracy_shape_errors():
     params = ParamVector.zeros(2, 3)
     with pytest.raises(ValueError, match="feature_dim"):

@@ -314,6 +314,26 @@ def test_prepare_suite_builds_each_seeds_data_once(monkeypatch):
     assert suite[0][2][0][1].train is not suite[0][2][1][1].train
 
 
+def test_prepare_suite_prepares_each_seed_and_partition_once(monkeypatch):
+    calls = []
+
+    def counting(cfg, *args):
+        calls.append((cfg.seed, cfg.partition_token()))
+        return prepare_experiment(cfg, *args)
+
+    monkeypatch.setattr("fedsim.federation.prepare_experiment", counting)
+    sweep = Sweep(seeds=(4, 9), methods=("fedavg", "fedprox(0.3)"),
+                  partitions=("iid", "shards(1)", "shards(2)"))
+    suite = prepare_suite(tiny_config(), sweep)
+    assert sorted(calls) == sorted({(s, pt) for s in (4, 9)
+                                    for pt in ("iid", "shards(1)", "shards(2)")})
+    cells = [(pt, rcfg.seed, data) for _, pt, runs in suite for rcfg, data in runs]
+    assert len(cells) == 12
+    for pt, seed, data in cells:
+        for pt2, seed2, data2 in cells:
+            assert (data is data2) == ((pt, seed) == (pt2, seed2))
+
+
 def test_prepare_suite_runs_match_runs_prepared_alone():
     sweep = Sweep(seeds=(0, 3), methods=("fedavg", "fedprox"), partitions=("iid", "shards(2)"))
     suite = prepare_suite(tiny_config(), sweep)
