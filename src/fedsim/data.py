@@ -409,21 +409,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if fork else 1
 
 
-def _fork_range(work, r, stack: contextlib.ExitStack, **part):
-    """``(process, part)``: a forked process running ``work(r, part)``.
+def _start_process(target, stack: contextlib.ExitStack):
+    """A forked process running ``target()``, or None if none can start.
 
-    The part is an unnamed ``tempfile.TemporaryFile(**part)``.  The process
-    exits with its failure's errno, or 255, printing nothing; if it cannot
-    start, ``work`` runs here and the process is None.  ``stack`` kills and
-    joins the process and closes the part.
+    It exits with its failure's errno, or 255, printing nothing; ``stack`` kills and joins it.
     """
     import multiprocessing  # here: a run that forks nothing does not load it (0.7 MB)
-    f = stack.enter_context(tempfile.TemporaryFile(**part))
 
     def run() -> None:
         try:
-            work(r, f)
-            f.flush()
+            target()
         except BaseException as exc:
             os._exit(getattr(exc, "errno", None) or 255)
 
@@ -433,10 +428,22 @@ def _fork_range(work, r, stack: contextlib.ExitStack, **part):
             warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
             proc.start()
     except (OSError, AssertionError):  # a process limit, or a daemonic parent
-        work(r, f)
-        return None, f
+        return None
     stack.callback(proc.join)
     stack.callback(proc.kill)  # runs first, so a process left running is stopped
+    return proc
+
+
+def _fork_range(work, r, stack: contextlib.ExitStack, **part):
+    """``(process, part)``: a _start_process running ``work(r, part)``.
+
+    The part is an unnamed ``tempfile.TemporaryFile(**part)``, which ``stack``
+    closes.  If no process can start, ``work`` runs here and the process is None.
+    """
+    f = stack.enter_context(tempfile.TemporaryFile(**part))
+    proc = _start_process(lambda: (work(r, f), f.flush()), stack)
+    if proc is None:
+        work(r, f)
     return proc, f
 
 

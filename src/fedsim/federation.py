@@ -9,6 +9,8 @@ clients share its round, and rows are averaged in ascending client-id order.
 
 from __future__ import annotations
 
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -16,8 +18,8 @@ import numpy as np
 
 from .config import (WEIGHTINGS, ConfigError, ExperimentConfig, Sweep, SyntheticData,
                      clients_per_round, suite_cells)
-from .data import (ClientSplit, Dataset, load_dataset, partition_iid, partition_shards,
-                   synthetic_train_test)
+from .data import (ClientSplit, Dataset, _start_process, _usable_cpus, load_dataset,
+                   partition_iid, partition_shards, synthetic_train_test)
 from .evaluation import accuracy
 from .model import ParamVector
 from .seeds import (DATA_STREAM, PARTITION_STREAM, SELECTION_STREAM, SeedKey, derive,
@@ -221,6 +223,52 @@ def _round_streams(
             yield r, selected, finish_states(words)
 
 
+_EVAL_FORK_BYTES = 256 << 10  # test-feature bytes under which the pipe costs more than it saves
+
+
+class _Evaluator:
+    """Each submitted round's report, with the test accuracy of its parameters.
+
+    Given 2+ usable CPUs and _EVAL_FORK_BYTES of test features, a forked process
+    computes it while the next round trains; otherwise, or once it fails, here.
+    """
+
+    def __init__(self, shape: tuple, test: Dataset, stack: ExitStack, rounds: int) -> None:
+        self.shape, self.test, self.queue, self.fds = shape, test, [], None
+        if rounds > 0 and test.features.nbytes >= _EVAL_FORK_BYTES and _usable_cpus() >= 2:
+            (r0, w0), (r1, w1) = os.pipe(), os.pipe()
+            proc = _start_process(lambda: self._serve(r0, w1, w0), stack)
+            for mine, theirs in ((w0, r0), (r1, w1)):
+                os.close(theirs)
+                stack.callback(os.close, mine)
+            self.fds = None if proc is None else (w0, r1)
+
+    def _serve(self, r0: int, w1: int, w0: int) -> None:
+        os.close(w0)  # so the parent's exit reads as an end of input
+        c, d = self.shape
+        buf, inbox = np.empty(c * d + c), open(r0, "rb")
+        while inbox.readinto(buf) == buf.nbytes:
+            acc = accuracy(ParamVector(buf[: c * d].reshape(c, d), buf[c * d :]), self.test)
+            os.write(w1, np.float64(acc).tobytes())
+
+    def submit(self, params: ParamVector, *report) -> None:
+        self.queue.append((params, *report))
+        if self.fds is not None:
+            try:
+                view = memoryview(params.weights.tobytes() + params.bias.tobytes())
+                while view:
+                    view = view[os.write(self.fds[0], view) :]
+            except BrokenPipeError:  # the process has died
+                self.fds = None
+
+    def take(self) -> RoundReport:
+        params, *report = self.queue.pop(0)
+        if self.fds is not None and len(got := os.read(self.fds[1], 8)) == 8:
+            return RoundReport(*report, memoryview(got).cast("d")[0])
+        self.fds = None  # in-process, or the process has died
+        return RoundReport(*report, accuracy(params, self.test))
+
+
 def run_federation(
     cfg: ExperimentConfig,
     data: ExperimentData | None = None,
@@ -235,28 +283,33 @@ def run_federation(
     datasets, partition, per-round selection, and per-client shuffles all
     derive from ``cfg.seed``.  Pass ``data`` to reuse an already prepared
     ExperimentData for the same config; every split in it is checked against
-    the train set before round 0, selected or not.
+    the train set before round 0, selected or not.  ``progress`` gets round r
+    once round r + 1 is averaged, or before round r + 1's error (see _Evaluator).
     """
     if data is None:
         data = prepare_experiment(cfg)
     params = ParamVector.zeros(data.train.n_classes, data.train.feature_dim)
     _check_cohort(params, data.train, data.splits)
     history: list[RoundReport] = []
-    for r, selected, states in _round_streams(cfg, len(data.splits)):
-        splits = [data.splits[c] for c in selected]
-        try:
-            weights, bias, losses = _train_cohort(params, data.train, splits, cfg, states)
-        except DivergenceError as exc:
-            raise ValueError(f"round {r}, {exc}") from None
-        params = aggregate(weights, bias, [s.n_samples for s in splits], cfg.weighting)
-        report = RoundReport(
-            round_index=r,
-            selected_clients=tuple(selected),
-            client_losses=tuple(losses.tolist()),
-            test_accuracy=accuracy(params, data.test),
-        )
-        history.append(report)
-        if progress is not None:
-            progress(report)
+
+    def report(keep: int) -> None:
+        while len(evaluate.queue) > keep:
+            history.append(evaluate.take())
+            if progress is not None:
+                progress(history[-1])
+
+    with ExitStack() as stack:
+        evaluate = _Evaluator(params.weights.shape, data.test, stack, cfg.rounds)
+        for r, selected, states in _round_streams(cfg, len(data.splits)):
+            splits = [data.splits[c] for c in selected]
+            try:
+                weights, bias, losses = _train_cohort(params, data.train, splits, cfg, states)
+            except DivergenceError as exc:
+                report(0)
+                raise ValueError(f"round {r}, {exc}") from None
+            params = aggregate(weights, bias, [s.n_samples for s in splits], cfg.weighting)
+            evaluate.submit(params, r, tuple(selected), tuple(losses.tolist()))
+            report(1)
+        report(0)
     final = history[-1].test_accuracy if history else accuracy(params, data.test)
     return FederationResult(tuple(history), ServerState(params, cfg.rounds), final)

@@ -180,15 +180,16 @@ def process_starters(node: ast.AST, where: str = "<module>"):
 
 
 def test_only_the_fork_helper_starts_processes():
-    # save_dataset and load_dataset fork through data._fork_range, which
-    # stops and joins its process and keeps the fork warning from raising.
+    # save_dataset, load_dataset and a run's evaluator fork through
+    # data._start_process, which stops and joins its process and keeps the
+    # fork warning from raising.
     src = Path(fedsim.__file__).parent
     found = [
         (path.name, fn, line)
         for path in sorted(src.glob("*.py"))
         for fn, line in process_starters(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert {(name, fn) for name, fn, _ in found} == {("data.py", "_fork_range")}, found
+    assert {(name, fn) for name, fn, _ in found} == {("data.py", "_start_process")}, found
 
 
 # The config's rule check, under its current name and its former public one.

@@ -53,6 +53,11 @@ CASES = {
         "method = fedprox\nmu = 0.3\nn_clients = 7\nfraction = 1.0\nlocal_epochs = 2\n"
         "batch_size = 16\nrounds = 4\ndataset = synthetic(n_samples=500, n_classes=10, "
         "feature_dim=12, separation=1.5)\n", ["run"], None),
+    # A 300 KiB test set, over the size from which a run evaluates in a forked
+    # process; its digests were recorded by a build that evaluated in-process.
+    "run_forked_evaluator": (
+        "rounds = 3\ndataset = synthetic(n_samples=12000, feature_dim=16, test_fraction=0.2)\n",
+        ["run"], None),
     "run_file": (
         "dataset = file(train=train.csv, test=test.csv)\nn_clients = 4\nrounds = 4\n"
         "batch_size = 16\n", ["run"], _file_data),
